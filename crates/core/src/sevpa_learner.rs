@@ -14,6 +14,28 @@
 //! characters (paper §4) or the artificial markers inserted by `conv_τ` (paper §5):
 //! it only sees a [`TaggedAlphabet`] and a membership function over strings in that
 //! alphabet.
+//!
+//! # The observation table
+//!
+//! Each module keeps its answers in an explicit, lazily filled table: one row per
+//! word it has ever compared (access words, one-step extensions, seeded access
+//! words and the `q' ‹a q b›` words behind return transitions), indexed by test
+//! id. Its invariants:
+//!
+//! - **Lazy.** A cell is filled the first time a comparison needs it, by exactly
+//!   the membership query `prefix · word · suffix` the learner would ask anyway.
+//! - **Same order.** A comparison walks the tests in order and asks the access
+//!   word's cell before the candidate's, stopping at the first disagreement — so
+//!   the membership function sees the same first-time queries in the same order
+//!   as with no table at all; every query the table saves would have been a
+//!   cache hit of the [`Mat`](crate::Mat).
+//! - **Append-only.** Access words and tests are only ever appended (`close`,
+//!   `refine`, `seed_observations`), so rows only grow, an answer never changes,
+//!   and rows are kept across `close` restarts and counterexample rounds. A
+//!   row also remembers its last equivalence scan; while the tests are
+//!   unchanged only the access words added since need scanning.
+
+use std::collections::HashMap;
 
 use vstar_vpl::vpa::StackSymId;
 use vstar_vpl::{Kind, StateId, Tagging, Vpa, VpaBuilder};
@@ -88,10 +110,89 @@ struct Test {
     suffix: String,
 }
 
+/// One row of a module's observation table: a word and its answers under the
+/// module's tests, indexed by test id (`None` until first asked).
+#[derive(Clone, Debug)]
+struct Row {
+    word: String,
+    answers: Vec<Option<bool>>,
+    /// `(access words, tests, result)` of the row's last equivalence scan.
+    scanned: Option<(usize, usize, Option<usize>)>,
+}
+
 #[derive(Clone, Debug, Default)]
 struct Module {
-    access: Vec<String>,
+    /// Row ids of the access words, in admission order.
+    access: Vec<usize>,
     tests: Vec<Test>,
+    rows: Vec<Row>,
+    row_ids: HashMap<String, usize>,
+}
+
+impl Module {
+    /// A module whose only access word is `ε`.
+    fn new(tests: Vec<Test>) -> Self {
+        let mut module = Module { tests, ..Module::default() };
+        let epsilon = module.row(String::new());
+        module.access.push(epsilon);
+        module
+    }
+
+    /// The `idx`-th access word.
+    fn word(&self, idx: usize) -> &str {
+        &self.rows[self.access[idx]].word
+    }
+
+    fn is_access(&self, word: &str) -> bool {
+        self.row_ids.get(word).is_some_and(|row| self.access.contains(row))
+    }
+
+    /// The row of `word`, created empty on first use.
+    fn row(&mut self, word: String) -> usize {
+        if let Some(&row) = self.row_ids.get(&word) {
+            return row;
+        }
+        let row = self.rows.len();
+        self.rows.push(Row { word: word.clone(), answers: Vec::new(), scanned: None });
+        self.row_ids.insert(word, row);
+        row
+    }
+
+    /// The answer of `row` under test `test`, asked on first use.
+    fn answer(&mut self, member: &dyn Fn(&str) -> bool, row: usize, test: usize) -> bool {
+        let answers = &self.rows[row].answers;
+        if let Some(&Some(answer)) = answers.get(test) {
+            return answer;
+        }
+        let Test { prefix, suffix } = &self.tests[test];
+        let answer = member(&format!("{prefix}{}{suffix}", self.rows[row].word));
+        let answers = &mut self.rows[row].answers;
+        if answers.len() <= test {
+            answers.resize(self.tests.len(), None);
+        }
+        answers[test] = Some(answer);
+        answer
+    }
+
+    /// Index of the first access word whose answers agree with `row` on every
+    /// test. Compares test by test, access word's cell first, stopping at the
+    /// first disagreement; a scan only resumes where the row's last scan left
+    /// off while the tests are unchanged, since those cells are already known.
+    fn find_equivalent(&mut self, member: &dyn Fn(&str) -> bool, row: usize) -> Option<usize> {
+        let (access_len, tests_len) = (self.access.len(), self.tests.len());
+        let start = match self.rows[row].scanned {
+            Some((_, tests, Some(found))) if tests == tests_len => return Some(found),
+            Some((scanned, tests, None)) if tests == tests_len => scanned,
+            _ => 0,
+        };
+        let found = (start..access_len).find(|&idx| {
+            let access_row = self.access[idx];
+            (0..tests_len)
+                .all(|t| self.answer(member, access_row, t) == self.answer(member, row, t))
+        });
+        self.rows[row].scanned = Some((access_len, tests_len, found));
+        found
+    }
 }
 
 /// Seed material for one module of the observation structure: access words and
@@ -167,6 +268,9 @@ pub struct SevpaLearner<'a> {
     config: SevpaLearnerConfig,
     modules: Vec<Module>,
     stats: LearnerStats,
+    /// Decide equivalence by the table-free reference loop instead (tests only).
+    #[cfg(test)]
+    reference_equivalence: bool,
 }
 
 impl<'a> std::fmt::Debug for SevpaLearner<'a> {
@@ -190,22 +294,31 @@ impl<'a> SevpaLearner<'a> {
         let k = alphabet.tagging().pair_count();
         let ret_chars = alphabet.ret_chars();
         let call_chars = alphabet.call_chars();
-        let mut modules = vec![Module::default(); k + 1];
-        for (i, module) in modules.iter_mut().enumerate() {
-            module.access.push(String::new());
-            if i == 0 {
-                module.tests.push(Test { prefix: String::new(), suffix: String::new() });
-            } else {
-                // C_i initialised with (‹a_i, b›) for every return character b›.
-                for &b in &ret_chars {
-                    module.tests.push(Test {
-                        prefix: call_chars[i - 1].to_string(),
-                        suffix: b.to_string(),
-                    });
-                }
-            }
+        let modules = (0..=k)
+            .map(|i| {
+                Module::new(if i == 0 {
+                    vec![Test { prefix: String::new(), suffix: String::new() }]
+                } else {
+                    // C_i initialised with (‹a_i, b›) for every return character b›.
+                    ret_chars
+                        .iter()
+                        .map(|&b| Test {
+                            prefix: call_chars[i - 1].to_string(),
+                            suffix: b.to_string(),
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        SevpaLearner {
+            member,
+            alphabet,
+            config,
+            modules,
+            stats: LearnerStats::default(),
+            #[cfg(test)]
+            reference_equivalence: false,
         }
-        SevpaLearner { member, alphabet, config, modules, stats: LearnerStats::default() }
     }
 
     /// Statistics of the run so far.
@@ -224,18 +337,31 @@ impl<'a> SevpaLearner<'a> {
         (self.member)(s)
     }
 
-    /// Are `s1` and `s2` equivalent w.r.t. the tests of module `i`?
-    fn equivalent(&self, module: usize, s1: &str, s2: &str) -> bool {
-        self.modules[module].tests.iter().all(|t| {
-            self.member(&format!("{}{}{}", t.prefix, s1, t.suffix))
-                == self.member(&format!("{}{}{}", t.prefix, s2, t.suffix))
-        })
+    /// The table row of `word` in `module`, and the index of an access word of
+    /// the module equivalent to it, if any.
+    fn classify(&mut self, module: usize, word: String) -> (usize, Option<usize>) {
+        let member = self.member;
+        #[cfg(test)]
+        if self.reference_equivalence {
+            let found = self.find_equivalent_reference(module, &word);
+            return (self.modules[module].row(word), found);
+        }
+        let module = &mut self.modules[module];
+        let row = module.row(word);
+        (row, module.find_equivalent(member, row))
     }
 
-    /// Index of an access word of module `i` equivalent to `s`, if any.
-    fn find_equivalent(&self, module: usize, s: &str) -> Option<usize> {
-        (0..self.modules[module].access.len())
-            .find(|&idx| self.equivalent(module, &self.modules[module].access[idx].clone(), s))
+    /// The equivalence check as it was before the observation table: every
+    /// comparison rebuilds both words and asks the membership function again.
+    #[cfg(test)]
+    fn find_equivalent_reference(&self, module: usize, s: &str) -> Option<usize> {
+        let module = &self.modules[module];
+        (0..module.access.len()).find(|&idx| {
+            module.tests.iter().all(|t| {
+                self.member(&format!("{}{}{}", t.prefix, module.word(idx), t.suffix))
+                    == self.member(&format!("{}{}{}", t.prefix, s, t.suffix))
+            })
+        })
     }
 
     /// The current extension set Σ_M: plain characters plus the nested words
@@ -248,9 +374,9 @@ impl<'a> SevpaLearner<'a> {
         let ret_chars = self.alphabet.ret_chars();
         let mut out: Vec<String> = self.alphabet.plain.iter().map(ToString::to_string).collect();
         for (i, module) in self.modules.iter().enumerate().skip(1) {
-            for q in &module.access {
+            for idx in 0..module.access.len() {
                 for &b in &ret_chars {
-                    out.push(format!("{}{q}{b}", call_chars[i - 1]));
+                    out.push(format!("{}{}{b}", call_chars[i - 1], module.word(idx)));
                 }
             }
         }
@@ -259,18 +385,19 @@ impl<'a> SevpaLearner<'a> {
 
     /// Algorithm 2: extend the access-word sets until the structure is closed.
     fn close(&mut self) {
+        let mut states = self.state_count();
         loop {
             let mut added = false;
             let extensions = self.extensions();
             for module_idx in 0..self.modules.len() {
-                let access_words = self.modules[module_idx].access.clone();
-                for q in &access_words {
+                for q_idx in 0..self.modules[module_idx].access.len() {
                     for m in &extensions {
-                        let candidate = format!("{q}{m}");
-                        if self.find_equivalent(module_idx, &candidate).is_none() {
-                            self.modules[module_idx].access.push(candidate);
+                        let candidate = format!("{}{m}", self.modules[module_idx].word(q_idx));
+                        if let (row, None) = self.classify(module_idx, candidate) {
+                            self.modules[module_idx].access.push(row);
                             added = true;
-                            if self.state_count() >= self.config.max_states {
+                            states += 1;
+                            if states >= self.config.max_states {
                                 return;
                             }
                         }
@@ -292,73 +419,59 @@ impl<'a> SevpaLearner<'a> {
         self.modules.iter().map(|m| m.access.len()).sum()
     }
 
-    fn state_id(&self, module: usize, idx: usize) -> StateId {
-        let offset: usize = self.modules[..module].iter().map(|m| m.access.len()).sum();
-        StateId(offset + idx)
-    }
-
     /// Definition 4.3: read a hypothesis VPA off the closed, separable structure.
     fn construct_vpa(&mut self) -> Hypothesis {
         let call_chars = self.alphabet.call_chars();
         let ret_chars = self.alphabet.ret_chars();
         let mut builder = VpaBuilder::new(self.alphabet.tagging().clone());
 
+        // States are numbered module by module, access words in admission order.
+        let mut offsets = Vec::with_capacity(self.modules.len());
         let mut states: Vec<(usize, String)> = Vec::new();
         for (i, module) in self.modules.iter().enumerate() {
-            for q in &module.access {
-                states.push((i, q.clone()));
+            offsets.push(states.len());
+            states.extend((0..module.access.len()).map(|idx| (i, module.word(idx).to_string())));
+        }
+        let state_id = |module: usize, idx: usize| StateId(offsets[module] + idx);
+        builder.add_states(states.len());
+
+        builder.set_initial(state_id(0, 0));
+        // Accepting states: module-0 access words that are members. Test 0 of
+        // module 0 is the empty context, so its cells are these answers.
+        debug_assert!(
+            self.modules[0].tests[0] == Test { prefix: String::new(), suffix: String::new() }
+        );
+        for idx in 0..self.modules[0].access.len() {
+            let row = self.modules[0].access[idx];
+            if self.modules[0].answer(self.member, row, 0) {
+                builder.add_accepting(state_id(0, idx));
             }
         }
-        let state_ids = builder.add_states(states.len());
-
-        builder.set_initial(self.state_id(0, 0));
-        // Accepting states: module-0 access words that are members.
-        let accepting: Vec<usize> = self.modules[0]
-            .access
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| self.member(q))
-            .map(|(idx, _)| idx)
-            .collect();
-        for idx in accepting {
-            builder.add_accepting(self.state_id(0, idx));
-        }
-
-        // One stack symbol per (source state, call character).
-        let mut stack_syms: Vec<(StateId, char)> = Vec::new();
-        let stack_sym_id = |builder: &mut VpaBuilder,
-                            stack_syms: &mut Vec<(StateId, char)>,
-                            state: StateId,
-                            call: char|
-         -> StackSymId {
-            if let Some(pos) = stack_syms.iter().position(|&(s, c)| s == state && c == call) {
-                StackSymId(pos)
-            } else {
-                let id = builder.add_stack_symbol();
-                stack_syms.push((state, call));
-                id
-            }
-        };
 
         // Call transitions: from every state, on ‹a_j, push (state, ‹a_j) and move to
-        // the entry state of module j.
-        for (sid, _) in states.iter().enumerate() {
-            let from = state_ids[sid];
+        // the entry state of module j. One stack symbol per (state, call), numbered
+        // state-major.
+        let k = call_chars.len();
+        let stack_sym = |sid: usize, j: usize| StackSymId(sid * k + j);
+        let mut stack_syms: Vec<(StateId, char)> = Vec::with_capacity(states.len() * k);
+        for sid in 0..states.len() {
+            let from = StateId(sid);
             for (j, &a) in call_chars.iter().enumerate() {
-                let gamma = stack_sym_id(&mut builder, &mut stack_syms, from, a);
-                let entry = self.state_id(j + 1, 0);
-                builder.call(from, a, entry, gamma).expect("valid call transition");
+                let gamma = builder.add_stack_symbol();
+                debug_assert_eq!(gamma, stack_sym(sid, j));
+                stack_syms.push((from, a));
+                builder.call(from, a, state_id(j + 1, 0), gamma).expect("valid call transition");
             }
         }
 
         // Plain transitions inside each module.
         for (sid, (module, q)) in states.iter().enumerate() {
-            let from = state_ids[sid];
-            for &c in &self.alphabet.plain.clone() {
-                let candidate = format!("{q}{c}");
-                if let Some(target_idx) = self.find_equivalent(*module, &candidate) {
-                    let to = self.state_id(*module, target_idx);
-                    builder.plain(from, c, to).expect("valid plain transition");
+            for c_idx in 0..self.alphabet.plain.len() {
+                let c = self.alphabet.plain[c_idx];
+                if let (_, Some(target_idx)) = self.classify(*module, format!("{q}{c}")) {
+                    builder
+                        .plain(StateId(sid), c, state_id(*module, target_idx))
+                        .expect("valid plain transition");
                 }
             }
         }
@@ -369,19 +482,14 @@ impl<'a> SevpaLearner<'a> {
             if *module_i == 0 {
                 continue;
             }
-            let from = state_ids[sid];
             let a_i = call_chars[*module_i - 1];
             for &b in &ret_chars {
-                for (gamma_idx, &(push_state, call)) in stack_syms.clone().iter().enumerate() {
-                    if call != a_i {
-                        continue;
-                    }
-                    let (module_j, q_prime) = states[push_state.0].clone();
+                for (push_sid, (module_j, q_prime)) in states.iter().enumerate() {
+                    let gamma = stack_sym(push_sid, *module_i - 1);
                     let combined = format!("{q_prime}{a_i}{q}{b}");
-                    if let Some(target_idx) = self.find_equivalent(module_j, &combined) {
-                        let to = self.state_id(module_j, target_idx);
+                    if let (_, Some(target_idx)) = self.classify(*module_j, combined) {
                         builder
-                            .ret(from, b, StackSymId(gamma_idx), to)
+                            .ret(StateId(sid), b, gamma, state_id(*module_j, target_idx))
                             .expect("valid return transition");
                     }
                 }
@@ -524,8 +632,9 @@ impl<'a> SevpaLearner<'a> {
             module_ref.tests.push(test);
             added = true;
         }
-        if !module_ref.access.contains(&access) {
-            module_ref.access.push(access);
+        if !module_ref.is_access(&access) {
+            let row = module_ref.row(access);
+            module_ref.access.push(row);
             added = true;
         }
         added
@@ -641,11 +750,11 @@ impl<'a> SevpaLearner<'a> {
                 if self.state_count() >= self.config.max_states {
                     return admitted;
                 }
-                if self.modules[module_idx].access.contains(access) {
+                if self.modules[module_idx].is_access(access) {
                     continue;
                 }
-                if self.find_equivalent(module_idx, access).is_none() {
-                    self.modules[module_idx].access.push(access.clone());
+                if let (row, None) = self.classify(module_idx, access.clone()) {
+                    self.modules[module_idx].access.push(row);
                     admitted += 1;
                 }
             }
@@ -804,80 +913,87 @@ mod tests {
         assert_eq!(hyp.vpa.state_count(), 2);
     }
 
+    /// a D b | c D d | x, where D is the same language (two distinct pairs).
+    fn two_pair(s: &str) -> bool {
+        fn expr(s: &[u8], pos: usize) -> Option<usize> {
+            match s.get(pos) {
+                Some(b'x') => Some(pos + 1),
+                Some(b'a') => {
+                    let p = expr(s, pos + 1)?;
+                    (s.get(p) == Some(&b'b')).then_some(p + 1)
+                }
+                Some(b'c') => {
+                    let p = expr(s, pos + 1)?;
+                    (s.get(p) == Some(&b'd')).then_some(p + 1)
+                }
+                _ => None,
+            }
+        }
+        expr(s.as_bytes(), 0) == Some(s.len())
+    }
+
+    fn two_pair_alphabet() -> TaggedAlphabet {
+        TaggedAlphabet::new(Tagging::from_pairs([('a', 'b'), ('c', 'd')]).unwrap(), vec!['x'])
+    }
+
     #[test]
     fn learns_two_pair_language() {
-        // a D b | c D d | x, where D is the same language (two distinct pairs).
-        fn lang(s: &str) -> bool {
-            fn expr(s: &[u8], pos: usize) -> Option<usize> {
-                match s.get(pos) {
-                    Some(b'x') => Some(pos + 1),
-                    Some(b'a') => {
-                        let p = expr(s, pos + 1)?;
-                        (s.get(p) == Some(&b'b')).then_some(p + 1)
-                    }
-                    Some(b'c') => {
-                        let p = expr(s, pos + 1)?;
-                        (s.get(p) == Some(&b'd')).then_some(p + 1)
-                    }
-                    _ => None,
-                }
-            }
-            expr(s.as_bytes(), 0) == Some(s.len())
-        }
-        let member: &dyn Fn(&str) -> bool = &lang;
-        let alphabet =
-            TaggedAlphabet::new(Tagging::from_pairs([('a', 'b'), ('c', 'd')]).unwrap(), vec!['x']);
+        let member: &dyn Fn(&str) -> bool = &two_pair;
+        let alphabet = two_pair_alphabet();
         let mut learner =
             SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
         let hyp = learner
-            .learn(|hyp| exhaustive_disagreement(&lang, hyp, &alphabet, 6))
+            .learn(|hyp| exhaustive_disagreement(&two_pair, hyp, &alphabet, 6))
             .expect("learning succeeds");
-        assert!(exhaustive_disagreement(&lang, &hyp, &alphabet, 7).is_none());
+        assert!(exhaustive_disagreement(&two_pair, &hyp, &alphabet, 7).is_none());
         assert!(hyp.vpa.accepts("acxdb"));
         assert!(!hyp.vpa.accepts("acxbd"));
     }
 
+    /// The running example of the paper's Figure 1.
+    fn fig1(s: &str) -> bool {
+        fn l(s: &[u8], mut pos: usize) -> Option<usize> {
+            loop {
+                match s.get(pos) {
+                    Some(b'a') => {
+                        pos = a(s, pos + 1)?;
+                        if s.get(pos) != Some(&b'b') {
+                            return None;
+                        }
+                        pos += 1;
+                    }
+                    Some(b'c') => {
+                        if s.get(pos + 1) != Some(&b'd') {
+                            return None;
+                        }
+                        pos += 2;
+                    }
+                    _ => return Some(pos),
+                }
+            }
+        }
+        fn a(s: &[u8], pos: usize) -> Option<usize> {
+            if s.get(pos) != Some(&b'g') {
+                return None;
+            }
+            let pos = l(s, pos + 1)?;
+            if s.get(pos) != Some(&b'h') {
+                return None;
+            }
+            Some(pos + 1)
+        }
+        l(s.as_bytes(), 0) == Some(s.len())
+    }
+
+    /// The paper's preferred tagging {(a,b)} with g, h treated as plain.
+    fn fig1_alphabet() -> TaggedAlphabet {
+        TaggedAlphabet::new(Tagging::from_pairs([('a', 'b')]).unwrap(), vec!['c', 'd', 'g', 'h'])
+    }
+
     #[test]
     fn fig1_language_is_learned_exactly() {
-        fn fig1(s: &str) -> bool {
-            fn l(s: &[u8], mut pos: usize) -> Option<usize> {
-                loop {
-                    match s.get(pos) {
-                        Some(b'a') => {
-                            pos = a(s, pos + 1)?;
-                            if s.get(pos) != Some(&b'b') {
-                                return None;
-                            }
-                            pos += 1;
-                        }
-                        Some(b'c') => {
-                            if s.get(pos + 1) != Some(&b'd') {
-                                return None;
-                            }
-                            pos += 2;
-                        }
-                        _ => return Some(pos),
-                    }
-                }
-            }
-            fn a(s: &[u8], pos: usize) -> Option<usize> {
-                if s.get(pos) != Some(&b'g') {
-                    return None;
-                }
-                let pos = l(s, pos + 1)?;
-                if s.get(pos) != Some(&b'h') {
-                    return None;
-                }
-                Some(pos + 1)
-            }
-            l(s.as_bytes(), 0) == Some(s.len())
-        }
-        // Use the paper's preferred tagging {(a,b)} with g, h treated as plain.
         let member: &dyn Fn(&str) -> bool = &fig1;
-        let alphabet = TaggedAlphabet::new(
-            Tagging::from_pairs([('a', 'b')]).unwrap(),
-            vec!['c', 'd', 'g', 'h'],
-        );
+        let alphabet = fig1_alphabet();
         let mut learner =
             SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
         let hyp = learner
@@ -887,6 +1003,53 @@ mod tests {
         assert!(hyp.vpa.accepts("agcdcdhbcd"));
         assert!(hyp.vpa.accepts("agaghbhbcd"));
         assert!(!hyp.vpa.accepts("agcd"));
+    }
+
+    /// Learns `lang` behind a `Mat` and returns the ordered `Mat` misses, the
+    /// number of `Mat` lookups and the hypothesis; `reference` decides
+    /// equivalence by the table-free loop instead of the observation table.
+    fn learn_behind_mat(
+        lang: fn(&str) -> bool,
+        alphabet: &TaggedAlphabet,
+        max_len: usize,
+        reference: bool,
+    ) -> (Vec<String>, usize, Hypothesis) {
+        let misses = std::cell::RefCell::new(Vec::new());
+        let oracle = |s: &str| {
+            misses.borrow_mut().push(s.to_string());
+            lang(s)
+        };
+        let mat = crate::Mat::new(&oracle);
+        let member = |s: &str| mat.member(s);
+        let mut learner =
+            SevpaLearner::new(&member, alphabet.clone(), SevpaLearnerConfig::default());
+        learner.reference_equivalence = reference;
+        let hyp = learner
+            .learn(|hyp| exhaustive_disagreement(&lang, hyp, alphabet, max_len))
+            .expect("learning succeeds");
+        (misses.take(), mat.total_queries(), hyp)
+    }
+
+    fn assert_same_misses_as_reference(
+        name: &str,
+        lang: fn(&str) -> bool,
+        alphabet: &TaggedAlphabet,
+    ) {
+        let (misses, lookups, hyp) = learn_behind_mat(lang, alphabet, 6, false);
+        let (ref_misses, ref_lookups, ref_hyp) = learn_behind_mat(lang, alphabet, 6, true);
+        assert!(!misses.is_empty(), "{name}: the learner asked nothing");
+        assert_eq!(misses, ref_misses, "{name}: ordered Mat misses");
+        assert_eq!(hyp.vpa, ref_hyp.vpa, "{name}: learned automaton");
+        assert_eq!(hyp.states, ref_hyp.states, "{name}: states");
+        assert_eq!(hyp.stack_syms, ref_hyp.stack_syms, "{name}: stack symbols");
+        assert!(lookups < ref_lookups, "{name}: {lookups} lookups vs {ref_lookups}");
+    }
+
+    #[test]
+    fn observation_table_keeps_the_ordered_miss_sequence() {
+        assert_same_misses_as_reference("dyck", dyck, &dyck_alphabet());
+        assert_same_misses_as_reference("fig1", fig1, &fig1_alphabet());
+        assert_same_misses_as_reference("two-pair", two_pair, &two_pair_alphabet());
     }
 
     #[test]

@@ -68,9 +68,23 @@ impl GrammarRegistry {
     }
 
     /// Publishes `grammar` under `name`: version 1 for a new name, the next
-    /// version for an existing one. Returns the installed entry and appends
-    /// the audit event.
-    pub fn publish(&self, name: &str, grammar: CompiledGrammar) -> Arc<GrammarEntry> {
+    /// version for an existing one. Appends this publish's audit event to the
+    /// trail and returns it.
+    pub fn publish(&self, name: &str, grammar: CompiledGrammar) -> ReloadAudit {
+        self.publish_with(name, grammar, |_| {})
+    }
+
+    /// [`publish`](Self::publish), calling `observe` with this publish's own
+    /// audit event while the audit trail is still locked: whatever `observe`
+    /// records (the daemon's access-log mirror) is in the trail's generation
+    /// order even under concurrent publishes, while readers of the entries
+    /// are already unblocked.
+    pub fn publish_with(
+        &self,
+        name: &str,
+        grammar: CompiledGrammar,
+        observe: impl FnOnce(&ReloadAudit),
+    ) -> ReloadAudit {
         let hash = grammar.artifact_fingerprint();
         let mut entries = self.entries.write().expect("no panics under this lock");
         let old = entries.get(name);
@@ -84,15 +98,21 @@ impl GrammarRegistry {
             hash,
             grammar: Arc::new(grammar),
         });
-        entries.insert(name.to_string(), Arc::clone(&entry));
-        drop(entries);
-        self.audit.lock().expect("no panics under this lock").push(ReloadAudit {
+        entries.insert(name.to_string(), entry);
+        let audit = ReloadAudit {
             generation,
             grammar: name.to_string(),
             version,
             old_hash,
             new_hash: hash,
-        });
+        };
+        // Taken before the entries lock is released, so the trail is in
+        // generation order.
+        let mut trail = self.audit.lock().expect("no panics under this lock");
+        trail.push(audit.clone());
+        drop(entries);
+        observe(&audit);
+        drop(trail);
         vstar_telemetry::event(
             "serve.reload",
             &[
@@ -102,7 +122,7 @@ impl GrammarRegistry {
                 ("new_hash", hash),
             ],
         );
-        entry
+        audit
     }
 
     /// The current entry for `name`, if registered.
@@ -172,7 +192,8 @@ mod tests {
         let fig1 = CompiledGrammar::from_vpg(&figure1_grammar()).unwrap();
         let fig1_hash = fig1.artifact_fingerprint();
         let first = registry.publish("fig1", fig1);
-        assert_eq!((first.version, first.generation, first.hash), (1, 1, fig1_hash));
+        assert_eq!((first.version, first.generation, first.new_hash), (1, 1, fig1_hash));
+        assert_eq!(registry.get("fig1").unwrap().hash, fig1_hash);
 
         let dyck_grammar = dyck();
         let dyck_hash = dyck_grammar.artifact_fingerprint();
@@ -188,6 +209,7 @@ mod tests {
         assert_eq!(registry.generation(), 3);
         let audit = registry.audit();
         assert_eq!(audit.len(), 3);
+        assert_eq!(audit[2], again);
         assert_eq!(
             audit[0],
             ReloadAudit {

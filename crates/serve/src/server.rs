@@ -357,11 +357,10 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
             };
             match vstar_parser::CompiledGrammar::from_json(artifact) {
                 Ok(grammar) => {
-                    let entry = conn.shared.registry.publish(name, grammar);
-                    let audit =
-                        conn.shared.registry.audit().pop().expect("publish appended an event");
-                    conn.shared.access_log.reload(&audit);
-                    Some(format!("+ok v={} g={}", entry.version, entry.generation).into_bytes())
+                    let audit = conn.shared.registry.publish_with(name, grammar, |audit| {
+                        conn.shared.access_log.reload(audit);
+                    });
+                    Some(format!("+ok v={} g={}", audit.version, audit.generation).into_bytes())
                 }
                 Err(e) => {
                     conn.protocol_error();

@@ -152,6 +152,50 @@ fn hot_reload_pins_open_sessions_and_audits_the_swap() {
 }
 
 #[test]
+fn concurrent_publishes_mirror_the_audit_trail_in_generation_order() {
+    let (daemon, registry, _metrics, access_log) = start_daemon();
+    let addr = daemon.addr();
+    let artifacts =
+        [dyck().to_json(), CompiledGrammar::from_vpg(&figure1_grammar()).unwrap().to_json()];
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let artifacts = &artifacts;
+            scope.spawn(move || {
+                let mut admin = Client::connect(addr, &format!("admin{t}")).unwrap();
+                for round in 0..16 {
+                    let name = if round % 2 == 0 { "fig1" } else { "shared" };
+                    let reply = admin.publish(name, &artifacts[(t + round) % 2]).unwrap();
+                    assert!(reply.starts_with("ok v="), "{reply}");
+                }
+            });
+        }
+    });
+
+    // The two seed publishes went straight to the registry; every publish
+    // through the daemon is mirrored once, as its own audit event, in the
+    // trail's order.
+    let audit = registry.audit();
+    assert_eq!(audit.len(), 2 + 4 * 16);
+    assert!(audit.windows(2).all(|w| w[0].generation < w[1].generation), "{audit:?}");
+    let mirrored: Vec<_> = access_log
+        .records()
+        .into_iter()
+        .filter(|r| r.kind == "reload")
+        .map(|r| {
+            let field = |key: &str| r.fields.get(key).copied();
+            (field("generation"), r.path, field("version"), field("old_hash"), field("new_hash"))
+        })
+        .collect();
+    let expected: Vec<_> = audit[2..]
+        .iter()
+        .map(|a| {
+            (Some(a.generation), a.grammar.clone(), Some(a.version), a.old_hash, Some(a.new_hash))
+        })
+        .collect();
+    assert_eq!(mirrored, expected);
+}
+
+#[test]
 fn admin_endpoints_expose_health_metrics_and_grammar_cards() {
     let (daemon, registry, _metrics, _log) = start_daemon();
     let mut client = Client::connect(daemon.addr(), "admin").unwrap();
