@@ -6,9 +6,9 @@
 //! grammar and publishes it into a [`vstar_serve::GrammarRegistry`], then
 //! (3) starts a real [`vstar_serve::Daemon`] on an ephemeral port and drives
 //! it with `--clients` concurrent client threads. Every client streams the
-//! deterministic corpus of every grammar through `B`/`D`/`E` sessions (chunk
-//! boundaries are client-seeded and may split UTF-8 codepoints), issues the
-//! matching one-shot `Q` queries on the raw strings, and after a barrier the
+//! deterministic raw corpus of every grammar through `B`/`D`/`E` sessions
+//! (chunk boundaries are client-seeded and may split UTF-8 codepoints),
+//! issues the same raw strings as one-shot `Q` queries, and after a barrier the
 //! first client hot-reloads the first grammar (`P`) before a second streaming
 //! wave proves the swap: same artifact bytes, same fingerprint, version 2.
 //!
@@ -42,9 +42,9 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use vstar_bench::cli::Args;
-use vstar_bench::learn_learned_language;
+use vstar_bench::{learn_learned_language, sample_corpus};
 use vstar_oracles::{language_by_name, table1_languages, CountedLanguage, CountingOracle};
-use vstar_parser::{CompileLearned, GrammarSampler};
+use vstar_parser::CompileLearned;
 use vstar_serve::{AccessLog, Client, Daemon, GrammarRegistry};
 use vstar_telemetry::{Counts, MetricsRegistry};
 
@@ -62,13 +62,10 @@ const USAGE: &str =
 /// corpus and its locally precomputed expected verdicts.
 struct Plan {
     name: String,
-    /// Converted corpus words for the streaming `B`/`D`/`E` path.
-    words: Vec<String>,
-    /// Expected verdict of each streamed word (`recognize_word`).
-    word_expect: Vec<bool>,
-    /// Raw strings for the one-shot `Q` path.
+    /// Raw strings for both the streaming `B`/`D`/`E` and the one-shot `Q`
+    /// path.
     raws: Vec<String>,
-    /// Expected verdict of each raw query (`recognize`).
+    /// Expected verdict of each raw string on either path (`recognize`).
     raw_expect: Vec<bool>,
     /// Canonical artifact document (used again for the hot reload).
     artifact_json: String,
@@ -81,15 +78,12 @@ struct Plan {
 #[derive(Serialize)]
 struct DaemonRow {
     grammar: String,
-    /// Words in the streaming corpus (members + mutants).
+    /// Raw strings in the corpus (members + mutants).
     corpus_words: usize,
-    /// Expected accepts over one streamed pass of the corpus.
-    accepted_stream: usize,
-    /// Expected accepts over one pass of the raw one-shot queries.
+    /// Expected accepts over one pass of the corpus, streamed or queried.
     accepted_query: usize,
-    /// Bytes one client streams through `D` frames in one corpus pass.
-    stream_bytes: u64,
-    /// Bytes one client sends as `Q` payload input in one corpus pass.
+    /// Corpus bytes one client sends in one pass, as `D` frames or as `Q`
+    /// payload input.
     query_bytes: u64,
     /// Unique membership queries spent learning the grammar.
     learn_unique_queries: usize,
@@ -129,10 +123,10 @@ struct DaemonBenchReport {
     reload_records: usize,
 }
 
-/// Streams `word` into the open session as client-seeded chunks (1–7 bytes,
+/// Streams `input` into the open session as client-seeded chunks (1–7 bytes,
 /// freely splitting UTF-8 sequences) and returns the daemon's verdict.
-fn stream_word(client: &mut Client, word: &str, rng: &mut StdRng) -> bool {
-    let bytes = word.as_bytes();
+fn stream_input(client: &mut Client, input: &str, rng: &mut StdRng) -> bool {
+    let bytes = input.as_bytes();
     let mut at = 0;
     while at < bytes.len() {
         let take = rng.gen_range(1..=7).min(bytes.len() - at);
@@ -196,22 +190,7 @@ fn main() {
         let learn_unique_queries = oracle.unique_queries();
         let compiled = learned.compile().expect("learned grammars compile");
 
-        // Deterministic corpus: grammar samples (members by construction)
-        // plus single-character mutants (mostly rejects).
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sampler = GrammarSampler::new(learned.vpg());
-        let mut words = sampler.sample_many(&mut rng, budget, samples);
-        let terminals: Vec<char> = learned.vpg().terminals().into_iter().collect();
-        for k in 0..words.len() {
-            let mut mutant: Vec<char> = words[k].chars().collect();
-            if mutant.is_empty() {
-                continue;
-            }
-            let i = rng.gen_range(0..mutant.len());
-            mutant[i] = terminals[rng.gen_range(0..terminals.len())];
-            words.push(mutant.into_iter().collect());
-        }
-        let word_expect: Vec<bool> = words.iter().map(|w| compiled.recognize_word(w)).collect();
+        let words = sample_corpus(learned.vpg(), seed, budget, samples);
         let raws: Vec<String> = words.iter().map(|w| learned.strip(w)).collect();
         let raw_expect: Vec<bool> = raws.iter().map(|r| compiled.recognize(r)).collect();
 
@@ -221,8 +200,6 @@ fn main() {
         registry.publish(name, compiled);
         plans.push(Plan {
             name: name.clone(),
-            words,
-            word_expect,
             raws,
             raw_expect,
             artifact_json,
@@ -265,10 +242,10 @@ fn main() {
                         seed ^ (c as u64).wrapping_mul(0x9e37_79b9) ^ ((gi as u64) << 32),
                     );
                     client.begin(&plan.name).expect("begin");
-                    for (w, &expect) in plan.words.iter().zip(&plan.word_expect) {
-                        if stream_word(&mut client, w, &mut rng) != expect {
+                    for (r, &expect) in plan.raws.iter().zip(&plan.raw_expect) {
+                        if stream_input(&mut client, r, &mut rng) != expect {
                             mismatches.fetch_add(1, Ordering::Relaxed);
-                            eprintln!("MISMATCH client-{c} {} stream {w:?}", plan.name);
+                            eprintln!("MISMATCH client-{c} {} stream {r:?}", plan.name);
                         }
                     }
                     for (r, &expect) in plan.raws.iter().zip(&plan.raw_expect) {
@@ -293,10 +270,10 @@ fn main() {
                     eprintln!("MISMATCH client-{c}: wave-2 begin got {reply:?}");
                 }
                 let mut rng = StdRng::seed_from_u64(seed ^ ((c as u64) << 17));
-                for (w, &expect) in first.words.iter().zip(&first.word_expect) {
-                    if stream_word(&mut client, w, &mut rng) != expect {
+                for (r, &expect) in first.raws.iter().zip(&first.raw_expect) {
+                    if stream_input(&mut client, r, &mut rng) != expect {
                         mismatches.fetch_add(1, Ordering::Relaxed);
-                        eprintln!("MISMATCH client-{c} {} wave-2 stream {w:?}", first.name);
+                        eprintln!("MISMATCH client-{c} {} wave-2 stream {r:?}", first.name);
                     }
                 }
             }));
@@ -321,19 +298,17 @@ fn main() {
     let audit = registry.audit();
 
     // Expected grand totals, computed locally: wave 1 is (stream + query) per
-    // grammar per client, wave 2 re-streams the first grammar per client. The
-    // admin probe issued no recognition requests.
+    // grammar per client, wave 2 re-streams the first grammar per client —
+    // each pass sends the same raw corpus. The admin probe issued no
+    // recognition requests.
     let mut expect_totals = Counts::default();
     for (gi, plan) in plans.iter().enumerate() {
-        let stream_bytes: u64 = plan.words.iter().map(|w| w.len() as u64).sum();
-        let query_bytes: u64 = plan.raws.iter().map(|r| r.len() as u64).sum();
-        let passes: u64 = if gi == 0 { 2 } else { 1 };
-        let c = clients as u64;
-        expect_totals.requests += c * (passes * plan.words.len() as u64 + plan.raws.len() as u64);
-        expect_totals.bytes += c * (passes * stream_bytes + query_bytes);
-        let stream_accepts = plan.word_expect.iter().filter(|&&v| v).count() as u64;
-        let query_accepts = plan.raw_expect.iter().filter(|&&v| v).count() as u64;
-        expect_totals.accepted += c * (passes * stream_accepts + query_accepts);
+        let bytes: u64 = plan.raws.iter().map(|r| r.len() as u64).sum();
+        let accepts = plan.raw_expect.iter().filter(|&&v| v).count() as u64;
+        let passes = clients as u64 * if gi == 0 { 3 } else { 2 };
+        expect_totals.requests += passes * plan.raws.len() as u64;
+        expect_totals.bytes += passes * bytes;
+        expect_totals.accepted += passes * accepts;
     }
     expect_totals.rejected = expect_totals.requests - expect_totals.accepted;
 
@@ -341,10 +316,8 @@ fn main() {
         .iter()
         .map(|p| DaemonRow {
             grammar: p.name.clone(),
-            corpus_words: p.words.len(),
-            accepted_stream: p.word_expect.iter().filter(|&&v| v).count(),
+            corpus_words: p.raws.len(),
             accepted_query: p.raw_expect.iter().filter(|&&v| v).count(),
-            stream_bytes: p.words.iter().map(|w| w.len() as u64).sum(),
             query_bytes: p.raws.iter().map(|r| r.len() as u64).sum(),
             learn_unique_queries: p.learn_unique_queries,
             automaton_states: p.stats.automaton_states,
@@ -356,13 +329,12 @@ fn main() {
 
     println!("Serving daemon under concurrent load (seed {seed}, {clients} clients)");
     println!();
-    println!("grammar\twords\tstream-accepts\tquery-accepts\tstates\tartifact-bytes\tversion");
+    println!("grammar\twords\taccepts\tstates\tartifact-bytes\tversion");
     for r in &rows {
         println!(
-            "{}\t{}\t{}\t{}\t{}\t{}\tv{}",
+            "{}\t{}\t{}\t{}\t{}\tv{}",
             r.grammar,
             r.corpus_words,
-            r.accepted_stream,
             r.accepted_query,
             r.automaton_states,
             r.artifact_bytes,

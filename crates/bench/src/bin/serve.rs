@@ -31,14 +31,12 @@
 
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use vstar_bench::cli::Args;
-use vstar_bench::learn_learned_language;
+use vstar_bench::{learn_learned_language, sample_corpus};
 use vstar_oracles::{language_by_name, table1_languages};
-use vstar_parser::{CompileLearned, CompiledGrammar, GrammarSampler, VpgParser};
+use vstar_parser::{CompileLearned, CompiledGrammar, VpgParser};
 
 const JSON_REPORT_PATH: &str = "BENCH_serve.json";
 
@@ -131,21 +129,7 @@ fn main() {
         let compiled = learned.compile().expect("learned grammars compile");
         let parser = VpgParser::new(learned.vpg());
 
-        // Deterministic corpus of converted words: grammar samples (members
-        // by construction) plus single-character mutants (mostly rejects).
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sampler = GrammarSampler::new(learned.vpg());
-        let mut words = sampler.sample_many(&mut rng, budget, samples);
-        let terminals: Vec<char> = learned.vpg().terminals().into_iter().collect();
-        for k in 0..words.len() {
-            let mut mutant: Vec<char> = words[k].chars().collect();
-            if mutant.is_empty() {
-                continue;
-            }
-            let i = rng.gen_range(0..mutant.len());
-            mutant[i] = terminals[rng.gen_range(0..terminals.len())];
-            words.push(mutant.into_iter().collect());
-        }
+        let words = sample_corpus(learned.vpg(), seed, budget, samples);
         let corpus_chars: usize = words.iter().map(|w| w.chars().count()).sum();
 
         // Correctness first: the compiled artifact must agree with the

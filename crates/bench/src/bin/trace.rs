@@ -255,10 +255,10 @@ fn main() {
             let mut session = compiled.session();
             let mut served_members = 0usize;
             for w in &words {
-                session.reset();
-                session.push_str(w);
-                served_members += usize::from(session.finish());
                 let raw = learned.strip(w);
+                session.reset();
+                session.push_str(&raw);
+                served_members += usize::from(session.finish());
                 let _ = compiled.recognize(&raw);
             }
             vstar_telemetry::event(

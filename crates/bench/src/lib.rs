@@ -160,6 +160,34 @@ pub fn learn_refined_language(
     RefinedLearning { learned: result.as_learned_language(), result, log }
 }
 
+/// The serving benchmarks' deterministic corpus of converted words: `samples`
+/// grammar samples of `vpg` within `budget` (members by construction), then a
+/// single-character mutant of each non-empty sample (mostly rejects), all
+/// drawn from one `StdRng` seeded with `seed`.
+#[must_use]
+pub fn sample_corpus(
+    vpg: &vstar_vpl::Vpg,
+    seed: u64,
+    budget: usize,
+    samples: usize,
+) -> Vec<String> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut words = vstar_parser::GrammarSampler::new(vpg).sample_many(&mut rng, budget, samples);
+    let terminals: Vec<char> = vpg.terminals().into_iter().collect();
+    for k in 0..words.len() {
+        let mut mutant: Vec<char> = words[k].chars().collect();
+        if mutant.is_empty() {
+            continue;
+        }
+        let i = rng.gen_range(0..mutant.len());
+        mutant[i] = terminals[rng.gen_range(0..terminals.len())];
+        words.push(mutant.into_iter().collect());
+    }
+    words
+}
+
 /// Seed of the deterministic repair corpus the corpus-driven re-inference
 /// step diffs a hypothesis against. Deliberately disjoint from the
 /// evaluation-dataset seed (`0xEA11_5EED`) so the recall gate never trains on

@@ -816,18 +816,6 @@ impl CompiledGrammar {
         TableView { auto: &self.auto }
     }
 
-    pub(crate) fn word_accepting(&self, state: u32) -> bool {
-        self.auto.accepting[state as usize]
-    }
-
-    pub(crate) fn word_start(&self) -> u32 {
-        self.auto.start
-    }
-
-    pub(crate) fn word_step(&self, state: &mut u32, stack: &mut Vec<u32>, ch: char) -> bool {
-        self.auto.step(state, stack, ch)
-    }
-
     /// Decides membership of a *word* over the grammar's own alphabet (the
     /// converted word in token mode, the raw string in character mode) with
     /// pure table lookups — the compiled equivalent of

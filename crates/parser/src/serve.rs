@@ -1,18 +1,22 @@
 //! Serving entry points of a [`CompiledGrammar`]: incremental sessions and
 //! sharded batches.
 //!
-//! * [`Session`] is a zero-allocation-on-the-hot-path incremental recognizer:
-//!   feed it input as it arrives ([`Session::push_bytes`] /
-//!   [`Session::push_str`]) and ask for the verdict at the end
-//!   ([`Session::finish`]). A session holds only the automaton state, the
-//!   stack (whose buffer is reused across [`Session::reset`]) and a 4-byte
-//!   UTF-8 carry buffer, so long-lived serving loops allocate nothing per
-//!   input after warm-up.
-//! * [`SessionState`] is the owned, `'static` form of the same machine for
+//! Every entry point decides membership of the *raw input* with
+//! [`CompiledGrammar::recognize`], so one-shot calls, batches and streamed
+//! sessions give the same verdict on the same bytes.
+//!
+//! * [`Session`] is an incremental recognizer: feed it input as it arrives
+//!   ([`Session::push_bytes`] / [`Session::push_str`]) and ask for the verdict
+//!   at the end ([`Session::finish`]). A session buffers the bytes pushed
+//!   since the last [`Session::reset`] (the buffer is reused across resets,
+//!   so long-lived serving loops allocate nothing per input after warm-up)
+//!   and `finish` runs `recognize` on them. Chunks may split UTF-8 sequences
+//!   anywhere: only the whole buffer is decoded.
+//! * [`SessionState`] is the owned, `'static` form of the same buffer for
 //!   callers that cannot hold a borrow of the grammar across await points or
 //!   registry swaps (the `vstar-serve` daemon pins each connection's state to
-//!   an `Arc`-held artifact). Every method takes the grammar explicitly; a
-//!   state must always be driven with the grammar that created it.
+//!   an `Arc`-held artifact). The grammar is passed where it is used, at
+//!   [`SessionState::finish`].
 //! * [`CompiledGrammar::parse_batch`] / [`CompiledGrammar::recognize_batch`]
 //!   shard a batch across scoped threads. `CompiledGrammar` is `Send + Sync`,
 //!   so the shards share one artifact without cloning or locking.
@@ -23,190 +27,74 @@ use crate::compiled::CompiledGrammar;
 use crate::error::ParseError;
 use crate::tree::ParseTree;
 
-/// The owned state of one incremental recognition: automaton state, stack,
-/// UTF-8 carry buffer and step count — everything a [`Session`] holds except
+/// The owned state of one incremental recognition: the raw bytes pushed since
+/// the last [`SessionState::reset`] — everything a [`Session`] holds except
 /// the grammar borrow.
 ///
-/// Every method takes the [`CompiledGrammar`] explicitly. The state is only
-/// meaningful with the grammar that created it ([`SessionState::new`] /
-/// [`SessionState::reset`]); driving it with a different grammar yields
-/// nonsense verdicts (states are indices into that grammar's tables), though
-/// never memory unsafety. Long-lived daemons therefore pin each state to the
-/// exact artifact version it started with, even across hot reloads.
-#[derive(Clone, Debug)]
+/// The state holds no grammar data, so any grammar can finish it; the
+/// `vstar-serve` daemon still finishes each state with the artifact version
+/// its stream pinned, even across hot reloads.
+#[derive(Clone, Debug, Default)]
 pub struct SessionState {
-    state: u32,
-    stack: Vec<u32>,
-    dead: bool,
-    /// Bytes of an incomplete UTF-8 sequence spanning a `push_bytes` boundary.
-    carry: [u8; 4],
-    carry_len: u8,
-    /// Automaton steps taken since the last [`SessionState::reset`] (one
-    /// plain integer add per character — kept unconditionally, it is cheaper
-    /// than the branch that would gate it).
-    steps: u64,
+    buf: Vec<u8>,
 }
 
 impl SessionState {
-    /// A fresh state positioned at `grammar`'s word-level start.
+    /// A fresh state holding the empty input.
     #[must_use]
-    pub fn new(grammar: &CompiledGrammar) -> Self {
-        SessionState {
-            state: grammar.word_start(),
-            stack: Vec::new(),
-            dead: false,
-            carry: [0; 4],
-            carry_len: 0,
-            steps: 0,
-        }
+    pub fn new() -> Self {
+        SessionState::default()
     }
 
-    /// Feeds one decoded character to the automaton.
-    fn step_char(&mut self, grammar: &CompiledGrammar, ch: char) {
-        if !self.dead {
-            self.steps += 1;
-            if !grammar.word_step(&mut self.state, &mut self.stack, ch) {
-                self.dead = true;
-            }
-        }
-    }
-
-    /// Feeds a chunk of UTF-8 bytes. Chunks may split multi-byte characters
-    /// anywhere; invalid UTF-8 marks the state dead (it will never accept).
+    /// Appends a chunk of bytes. Chunks may split multi-byte characters
+    /// anywhere; UTF-8 validity is decided once, at
+    /// [`SessionState::finish`].
     ///
     /// Telemetry is attributed per call (`serve.bytes_pushed`), never per
     /// byte — with no collector installed the cost is one relaxed atomic
     /// load.
-    pub fn push_bytes(&mut self, grammar: &CompiledGrammar, bytes: &[u8]) {
+    pub fn push_bytes(&mut self, bytes: &[u8]) {
         vstar_telemetry::counter("serve.bytes_pushed", bytes.len() as u64);
-        let mut rest = bytes;
-        if self.dead {
-            return;
-        }
-        // Complete a character left over from the previous chunk.
-        while self.carry_len > 0 && !rest.is_empty() {
-            let need = match utf8_len(self.carry[0]) {
-                Some(n) => n,
-                None => {
-                    self.dead = true;
-                    return;
-                }
-            };
-            let take = (need - self.carry_len as usize).min(rest.len());
-            self.carry[self.carry_len as usize..self.carry_len as usize + take]
-                .copy_from_slice(&rest[..take]);
-            self.carry_len += take as u8;
-            rest = &rest[take..];
-            if self.carry_len as usize == need {
-                match std::str::from_utf8(&self.carry[..need]) {
-                    Ok(s) => {
-                        let ch = s.chars().next().expect("one complete character");
-                        self.carry_len = 0;
-                        self.step_char(grammar, ch);
-                        if self.dead {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        self.dead = true;
-                        return;
-                    }
-                }
-            }
-        }
-        // Bulk-decode the rest; stash a trailing incomplete sequence.
-        match std::str::from_utf8(rest) {
-            Ok(s) => {
-                for ch in s.chars() {
-                    self.step_char(grammar, ch);
-                    if self.dead {
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                let valid = e.valid_up_to();
-                let s = std::str::from_utf8(&rest[..valid]).expect("validated prefix");
-                for ch in s.chars() {
-                    self.step_char(grammar, ch);
-                    if self.dead {
-                        return;
-                    }
-                }
-                match e.error_len() {
-                    // Genuinely invalid bytes: the input can never be a word.
-                    Some(_) => self.dead = true,
-                    // An incomplete trailing sequence: carry it over.
-                    None => {
-                        let tail = &rest[valid..];
-                        self.carry[..tail.len()].copy_from_slice(tail);
-                        self.carry_len = tail.len() as u8;
-                    }
-                }
-            }
-        }
+        self.buf.extend_from_slice(bytes);
     }
 
-    /// Feeds a chunk of characters.
-    pub fn push_str(&mut self, grammar: &CompiledGrammar, s: &str) {
-        self.push_bytes(grammar, s.as_bytes());
+    /// Appends a chunk of characters.
+    pub fn push_str(&mut self, s: &str) {
+        self.push_bytes(s.as_bytes());
     }
 
-    /// Whether the fed prefix can still extend to a member (a dead state
-    /// never accepts, whatever is pushed next).
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        !self.dead
-    }
-
-    /// Automaton steps taken since the last reset (one per fed character
-    /// while alive).
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// The verdict for everything pushed so far: `true` iff the fed input is
-    /// a complete word of the grammar. Does not consume the state — more
-    /// input may be pushed afterwards.
+    /// The verdict for everything pushed so far:
+    /// [`CompiledGrammar::recognize`] on the buffered bytes, and `false` when
+    /// they are not UTF-8 (invalid bytes, or a dangling partial character).
+    /// Does not consume the state — more input may be pushed afterwards.
     ///
     /// With a telemetry collector installed, each call counts one finished
-    /// word (`serve.words_finished` / `serve.words_accepted`) and records the
-    /// step count in the `serve.steps_per_parse` histogram.
+    /// input (`serve.words_finished` / `serve.words_accepted`).
     #[must_use]
     pub fn finish(&self, grammar: &CompiledGrammar) -> bool {
-        let accepted = !self.dead
-            && self.carry_len == 0
-            && self.stack.is_empty()
-            && grammar.word_accepting(self.state);
+        let accepted = std::str::from_utf8(&self.buf).is_ok_and(|s| grammar.recognize(s));
         if vstar_telemetry::enabled() {
             vstar_telemetry::counter("serve.words_finished", 1);
             if accepted {
                 vstar_telemetry::counter("serve.words_accepted", 1);
             }
-            vstar_telemetry::record("serve.steps_per_parse", self.steps);
         }
         accepted
     }
 
-    /// Rewinds to the empty input, keeping the stack buffer (so a reused
+    /// Rewinds to the empty input, keeping the buffer's capacity (so a reused
     /// state allocates nothing per input once warmed up).
-    pub fn reset(&mut self, grammar: &CompiledGrammar) {
-        self.state = grammar.word_start();
-        self.stack.clear();
-        self.dead = false;
-        self.carry_len = 0;
-        self.steps = 0;
+    pub fn reset(&mut self) {
+        self.buf.clear();
     }
 }
 
 /// An incremental, resumable recognizer over one [`CompiledGrammar`]: a
-/// [`SessionState`] bundled with the grammar borrow that drives it.
+/// [`SessionState`] bundled with the grammar borrow that finishes it.
 ///
-/// Sessions run at the *word* level (the grammar's own alphabet): for a
-/// character-mode grammar that is the raw input; for a token-mode grammar it
-/// is the converted word (see [`CompiledGrammar::converted_word`]), since
-/// tokenization needs lookahead that contradicts byte-at-a-time streaming.
+/// A session decides the raw input, exactly as [`CompiledGrammar::recognize`]
+/// does: token-mode grammars tokenize the fed bytes at
+/// [`Session::finish`].
 ///
 /// # Example
 ///
@@ -229,26 +117,15 @@ pub struct Session<'c> {
     state: SessionState,
 }
 
-impl<'c> Session<'c> {
-    fn new(grammar: &'c CompiledGrammar) -> Self {
-        Session { grammar, state: SessionState::new(grammar) }
-    }
-
+impl Session<'_> {
     /// Feeds a chunk of UTF-8 bytes (see [`SessionState::push_bytes`]).
     pub fn push_bytes(&mut self, bytes: &[u8]) {
-        self.state.push_bytes(self.grammar, bytes);
+        self.state.push_bytes(bytes);
     }
 
     /// Feeds a chunk of characters.
     pub fn push_str(&mut self, s: &str) {
-        self.state.push_str(self.grammar, s);
-    }
-
-    /// Whether the fed prefix can still extend to a member (a dead session
-    /// never accepts, whatever is pushed next).
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        self.state.is_alive()
+        self.state.push_str(s);
     }
 
     /// The verdict for everything pushed so far (see
@@ -258,29 +135,18 @@ impl<'c> Session<'c> {
         self.state.finish(self.grammar)
     }
 
-    /// Rewinds to the empty input, keeping the stack buffer (so a reused
-    /// session allocates nothing per input once warmed up).
+    /// Rewinds to the empty input, keeping the buffer (so a reused session
+    /// allocates nothing per input once warmed up).
     pub fn reset(&mut self) {
-        self.state.reset(self.grammar);
-    }
-}
-
-/// Expected byte length of a UTF-8 sequence from its lead byte.
-fn utf8_len(lead: u8) -> Option<usize> {
-    match lead {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
+        self.state.reset();
     }
 }
 
 impl CompiledGrammar {
-    /// Starts an incremental word-level recognition [`Session`].
+    /// Starts an incremental raw-input recognition [`Session`].
     #[must_use]
     pub fn session(&self) -> Session<'_> {
-        Session::new(self)
+        Session { grammar: self, state: SessionState::new() }
     }
 
     /// Parses every input, sharding the batch across scoped threads (the
@@ -350,20 +216,16 @@ mod tests {
         let g = figure1_grammar();
         let compiled = CompiledGrammar::from_vpg(&g).unwrap();
         let terminals: Vec<char> = g.terminals().into_iter().collect();
-        let mut state = SessionState::new(&compiled);
+        let mut state = SessionState::new();
         for w in vstar_vpl::words::all_strings(&terminals, 4) {
-            state.reset(&compiled);
-            state.push_str(&compiled, &w);
+            state.reset();
+            state.push_str(&w);
             assert_eq!(state.finish(&compiled), compiled.recognize_word(&w), "mismatch on {w:?}");
-            if state.is_alive() {
-                // One automaton step per character while alive.
-                assert_eq!(state.steps(), w.chars().count() as u64);
-            }
         }
         // The owned state carries no grammar borrow: it outlives scopes a
         // Session cannot, and keeps its verdict when moved.
-        state.reset(&compiled);
-        state.push_str(&compiled, "agcdcdhbcd");
+        state.reset();
+        state.push_str("agcdcdhbcd");
         let moved: SessionState = { state };
         assert!(moved.finish(&compiled));
     }
@@ -395,13 +257,11 @@ mod tests {
         // A dangling partial character never accepts.
         session.reset();
         session.push_bytes(&word.as_bytes()[..word.len() - 1]);
-        assert!(session.is_alive());
         assert!(!session.finish());
 
-        // Invalid UTF-8 kills the session.
+        // Invalid UTF-8 never accepts, whatever follows.
         session.reset();
         session.push_bytes(&[0xff]);
-        assert!(!session.is_alive());
         session.push_str(&word);
         assert!(!session.finish());
     }

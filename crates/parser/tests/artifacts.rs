@@ -1,10 +1,11 @@
 //! Artifact round-trip acceptance tests: for every Table-1 language,
 //! `learn → compile → save → load → serve` must produce identical verdicts
 //! and identical parse trees, with no membership oracle anywhere near the
-//! serving side.
+//! serving side; a streamed `Session` must give the one-shot verdict on the
+//! same raw bytes, however they are chunked.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use vstar::{Mat, VStar, VStarConfig};
 use vstar_oracles::{Json, Language, Lisp, MathExpr, WhileLang, Xml};
@@ -86,6 +87,32 @@ fn round_trip(lang: &dyn Language) {
         }
     }
     assert!(members >= 30, "{}: only {members} members exercised", lang.name());
+
+    // A session decides the raw bytes it was fed, exactly as `recognize`
+    // does, under seeded random chunkings. The converted words and the
+    // `λ`-prefixed inputs carry multi-byte characters, so chunk boundaries
+    // also fall mid-codepoint.
+    let mut inputs = corpus.clone();
+    inputs.extend(corpus.iter().filter_map(|s| compiled.converted_word(s)));
+    inputs.extend(corpus.iter().map(|s| format!("λ{s}")));
+    let mut chunk_rng = StdRng::seed_from_u64(0x5E55 ^ lang.name().len() as u64);
+    let mut session = reloaded.session();
+    let mut streamed_members = 0usize;
+    for s in &inputs {
+        let expect = compiled.recognize(s);
+        for _ in 0..3 {
+            session.reset();
+            let mut rest = s.as_bytes();
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(chunk_rng.gen_range(1..=5).min(rest.len()));
+                session.push_bytes(chunk);
+                rest = tail;
+            }
+            assert_eq!(session.finish(), expect, "{}: streamed verdict on {s:?}", lang.name());
+        }
+        streamed_members += usize::from(expect);
+    }
+    assert!(streamed_members >= 30, "{}: only {streamed_members} streamed members", lang.name());
 
     // Every seed is served by the reloaded artifact — recall survives the
     // round trip, with no Mat in sight.

@@ -12,7 +12,8 @@
 //! * [`Daemon`] — a thread-per-connection TCP server speaking a length-
 //!   prefixed framed protocol (`docs/PROTOCOL.md`): streaming `B`/`D`/`E`
 //!   sessions over [`vstar_parser::SessionState`] (chunks may split UTF-8
-//!   codepoints anywhere), one-shot `Q` recognition, `P` hot-reload, and
+//!   codepoints anywhere; the verdict is `Q`'s on the same bytes), one-shot
+//!   `Q` recognition, `P` hot-reload, and
 //!   admin endpoints `/healthz`, `/metrics` (Prometheus text exposition from
 //!   the process-wide [`vstar_telemetry::MetricsRegistry`]) and `/grammars`
 //!   (per-grammar [`vstar_parser::GrammarStats`] cards).

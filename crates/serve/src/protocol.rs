@@ -9,13 +9,16 @@
 //! pipelining guarantees beyond TCP's own ordering — because the protocol's
 //! interesting property lives one layer up: `D` (data) frames may split the
 //! input at *any* byte boundary, including mid-codepoint, and the verdict
-//! must not change (the [`vstar_parser::SessionState`] UTF-8 carry buffer is
-//! what makes that hold; the daemon's tests drive it through real sockets).
+//! must not change (the [`vstar_parser::SessionState`] buffers the raw bytes
+//! and decodes them once, at `E`; the daemon's tests drive it through real
+//! sockets).
 
 use std::io::{Read, Write};
 
-/// Hard cap on a single frame's payload (16 MiB). A peer announcing more is
-/// treated as a protocol error, never an allocation.
+/// Hard cap on a single frame's payload (16 MiB), and on one streamed input
+/// (the bytes of its `D` frames). A peer announcing a larger frame is treated
+/// as a protocol error, never an allocation; a larger stream ends in
+/// `-input-too-large`.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Client opcodes (the first payload byte of a client frame).
@@ -28,18 +31,21 @@ pub mod op {
     /// pinning the grammar version current at this moment. Replies
     /// `+ok v=<version> g=<generation>`.
     pub const BEGIN: u8 = b'B';
-    /// `D <bytes>` — append input bytes to the open streaming session. Not
-    /// acknowledged. Chunks may split UTF-8 sequences anywhere.
+    /// `D <bytes>` — append raw input bytes to the open streaming session.
+    /// Not acknowledged. Chunks may split UTF-8 sequences anywhere. Bytes past
+    /// [`super::MAX_FRAME_LEN`] in one input are dropped, and its `E` errors.
     pub const DATA: u8 = b'D';
-    /// `E` — end the streamed input and ask for the verdict. Replies
-    /// `+accept` or `+reject`; the session resets and stays bound, so the
-    /// next `D` starts a fresh input against the same pinned grammar.
+    /// `E` — end the streamed input and ask for the verdict: the same one a
+    /// `Q` of those bytes gets from the pinned grammar. Replies `+accept` or
+    /// `+reject`, or `-input-too-large` when the input passed
+    /// [`super::MAX_FRAME_LEN`]; either way the session resets and stays
+    /// bound, so the next `D` starts a fresh input against the same pinned
+    /// grammar.
     pub const END: u8 = b'E';
     /// `Q <u16 name_len> <grammar> <input>` — one-shot recognition of a raw
     /// input against the *current* version of `<grammar>` (token-mode
-    /// grammars tokenize; this is [`vstar_parser::CompiledGrammar::recognize`]
-    /// semantics, unlike the word-level `B`/`D`/`E` stream). Replies
-    /// `+accept`/`+reject`.
+    /// grammars tokenize; this is [`vstar_parser::CompiledGrammar::recognize`],
+    /// as for the `B`/`D`/`E` stream). Replies `+accept`/`+reject`.
     pub const QUERY: u8 = b'Q';
     /// `A <path>` — admin endpoint: `/healthz`, `/metrics` (Prometheus text)
     /// or `/grammars` (JSON array of grammar cards).

@@ -2,15 +2,17 @@
 //! protocol, wired into the observability plane.
 //!
 //! Every connection gets its own handler thread and its own
-//! [`vstar_parser::SessionState`]; the compiled artifacts, the
+//! [`vstar_parser::SessionState`] (the raw bytes of the streamed input, at
+//! most [`MAX_FRAME_LEN`] of them); the compiled artifacts, the
 //! [`MetricsRegistry`], the [`GrammarRegistry`] and the [`AccessLog`] are
 //! shared. The request hot path touches exactly one metrics shard (its own
 //! `(grammar, connection)` cell) and never blocks on another connection.
 //!
 //! Streaming sessions pin the grammar *entry* they began with: a hot reload
-//! published mid-stream does not change the automaton under a half-fed input
-//! (the old `Arc` keeps the old artifact alive); one-shot `Q` requests always
-//! resolve the current version.
+//! published mid-stream does not change the grammar that finishes a half-fed
+//! input (the old `Arc` keeps the old artifact alive); one-shot `Q` requests
+//! always resolve the current version. Both decide with
+//! [`vstar_parser::CompiledGrammar::recognize`] on the raw input.
 
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -24,7 +26,7 @@ use vstar_parser::{GrammarStats, SessionState};
 use vstar_telemetry::{MetricsRegistry, MetricsShard};
 
 use crate::access_log::AccessLog;
-use crate::protocol::{decode_named, op, read_frame, write_frame};
+use crate::protocol::{decode_named, op, read_frame, write_frame, MAX_FRAME_LEN};
 use crate::registry::{GrammarEntry, GrammarRegistry};
 
 /// Metrics key charged for requests that never resolve to a grammar
@@ -143,7 +145,8 @@ struct Connection<'s> {
     /// Set once any non-hello frame arrives; a `H` after that is an error.
     label_locked: bool,
     /// The open streaming session: pinned entry, its shard, the state, the
-    /// byte count of the current input, and the request start time.
+    /// byte count of the current input (data past [`MAX_FRAME_LEN`] is
+    /// counted but not buffered), and the request start time.
     session: Option<StreamSession>,
     shards: std::collections::BTreeMap<String, Arc<MetricsShard>>,
 }
@@ -228,7 +231,7 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
                 conn.protocol_error();
                 return Some(format!("-unknown-grammar {name}").into_bytes());
             };
-            let state = SessionState::new(&entry.grammar);
+            let state = SessionState::new();
             let shard = conn.shard(name);
             let reply = format!("+ok v={} g={}", entry.version, entry.generation);
             conn.session = Some(StreamSession { entry, shard, state, bytes: 0, started: None });
@@ -243,7 +246,9 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
                 session.started = Some(Instant::now());
             }
             session.bytes += tail.len() as u64;
-            session.state.push_bytes(&session.entry.grammar, tail);
+            if session.bytes <= MAX_FRAME_LEN as u64 {
+                session.state.push_bytes(tail);
+            }
             None
         }
         op::END => {
@@ -251,6 +256,13 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
                 conn.protocol_error();
                 return Some(b"-no-session: send B first".to_vec());
             };
+            if session.bytes > MAX_FRAME_LEN as u64 {
+                session.shard.record_error();
+                session.state.reset();
+                session.bytes = 0;
+                session.started = None;
+                return Some(b"-input-too-large".to_vec());
+            }
             let accepted = session.state.finish(&session.entry.grammar);
             let wall_us = session
                 .started
@@ -267,7 +279,7 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
                 wall_us,
                 conn.shared.registry.generation(),
             );
-            session.state.reset(&session.entry.grammar);
+            session.state.reset();
             session.bytes = 0;
             Some(if accepted { b"+accept".to_vec() } else { b"+reject".to_vec() })
         }

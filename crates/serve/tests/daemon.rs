@@ -1,11 +1,16 @@
 //! End-to-end daemon tests over real sockets: concurrent multi-grammar
-//! serving, hot reload with pinned streaming sessions, admin endpoints, and
-//! the UTF-8 carry guarantee driven through the framed protocol.
+//! serving, hot reload with pinned streaming sessions, admin endpoints,
+//! stream/query agreement on a token-mode grammar, chunk boundaries that
+//! split codepoints, and the streamed-input cap, all driven through the
+//! framed protocol.
 
 use std::sync::Arc;
 
-use vstar_parser::CompiledGrammar;
-use vstar_serve::{AccessLog, Client, ClientError, Daemon, GrammarRegistry};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use vstar_oracles::{Language, Lisp};
+use vstar_parser::{CompileLearned, CompiledGrammar};
+use vstar_serve::{AccessLog, Client, ClientError, Daemon, GrammarRegistry, MAX_FRAME_LEN};
 use vstar_telemetry::MetricsRegistry;
 use vstar_vpl::grammar::figure1_grammar;
 use vstar_vpl::{Tagging, VpgBuilder};
@@ -241,8 +246,7 @@ fn admin_endpoints_expose_health_metrics_and_grammar_cards() {
     }
 }
 
-/// The ISSUE's UTF-8 satellite: stream a word containing 3-byte characters
-/// through the daemon, split at *every* byte position (including
+/// Stream a word containing 3-byte characters through the daemon, split at *every* byte position (including
 /// mid-codepoint), and require the verdict to match whole-word recognition.
 #[test]
 fn chunk_boundaries_mid_codepoint_never_change_verdicts() {
@@ -287,6 +291,99 @@ fn chunk_boundaries_mid_codepoint_never_change_verdicts() {
     let snap = metrics.snapshot();
     assert_eq!(snap.totals.requests, requests);
     assert_eq!(snap.totals.errors, 0);
+}
+
+/// A learned token-mode grammar: `B D… E` and `Q` decide the same raw bytes,
+/// so they give the same verdict on members and mutants alike, however the
+/// stream is chunked.
+#[test]
+fn streams_and_queries_agree_on_a_token_mode_grammar() {
+    let lang = Lisp::new();
+    let oracle = |s: &str| lang.accepts(s);
+    let mat = vstar::Mat::new(&oracle);
+    let result = vstar::VStar::new(vstar::VStarConfig::default())
+        .learn(&mat, &lang.alphabet(), &lang.seeds())
+        .unwrap();
+    let compiled = result.compile().unwrap();
+    assert_eq!(compiled.stats().mode, "tokens");
+    let registry = Arc::new(GrammarRegistry::new());
+    registry.publish("lisp", compiled);
+    let metrics = Arc::new(MetricsRegistry::new());
+    let (access_log, _) = AccessLog::in_memory();
+    let daemon = Daemon::start("127.0.0.1:0", Arc::clone(&registry), metrics, access_log).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(16);
+    let mut corpus = lang.seeds();
+    corpus.extend(lang.generate_corpus(&mut rng, 14, 30));
+    let alphabet = lang.alphabet();
+    for k in 0..corpus.len() {
+        let mut mutant: Vec<char> = corpus[k].chars().collect();
+        if !mutant.is_empty() {
+            let i = rng.gen_range(0..mutant.len());
+            mutant[i] = alphabet[rng.gen_range(0..alphabet.len())];
+            corpus.push(mutant.into_iter().collect());
+        }
+    }
+
+    let mut client = Client::connect(daemon.addr(), "agree").unwrap();
+    client.begin("lisp").unwrap();
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for input in &corpus {
+        let query = client.recognize("lisp", input).unwrap();
+        let mut rest = input.as_bytes();
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(rng.gen_range(1..=4).min(rest.len()));
+            client.data(chunk).unwrap();
+            rest = tail;
+        }
+        assert_eq!(client.end().unwrap(), query, "stream and query disagree on {input:?}");
+        if query {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    assert!(accepted >= 20 && rejected >= 5, "{accepted} accepted, {rejected} rejected");
+}
+
+/// A streamed input may hold at most `MAX_FRAME_LEN` bytes: one byte more
+/// ends in `-input-too-large`, counted on the grammar's cell, and the
+/// session keeps serving the next input.
+#[test]
+fn streams_past_the_frame_cap_error_and_the_session_survives() {
+    let (daemon, _registry, metrics, access_log) = start_daemon();
+    let mut client = Client::connect(daemon.addr(), "big").unwrap();
+    client.begin("fig1").unwrap();
+    let chunk = vec![b'x'; 1 << 20];
+    let stream_cap = |client: &mut Client| {
+        for _ in 0..MAX_FRAME_LEN / chunk.len() {
+            client.data(&chunk).unwrap();
+        }
+    };
+
+    // Exactly the cap is an ordinary input.
+    stream_cap(&mut client);
+    assert!(!client.end().unwrap());
+
+    // One byte more errors, and nothing past the cap is kept.
+    stream_cap(&mut client);
+    client.data(b"x").unwrap();
+    client.data(b"cd").unwrap();
+    match client.end() {
+        Err(ClientError::Server(msg)) => assert_eq!(msg, "input-too-large"),
+        other => panic!("expected input-too-large, got {other:?}"),
+    }
+
+    // The session was reset and still serves, as does the connection.
+    client.data(b"cd").unwrap();
+    assert!(client.end().unwrap());
+    assert!(client.recognize("fig1", "cd").unwrap());
+
+    let snap = metrics.snapshot();
+    let fig1 = snap.connections.iter().find(|r| r.grammar == "fig1").unwrap();
+    assert_eq!(fig1.counts.errors, 1);
+    assert_eq!(fig1.counts.requests, 3);
+    assert_eq!(access_log.records().len(), 3, "the errored input leaves no access record");
 }
 
 #[test]

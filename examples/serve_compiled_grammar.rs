@@ -62,10 +62,10 @@ fn main() {
     let accepted = verdicts.iter().filter(|&&v| v).count();
     println!("batch: {accepted}/{} documents accepted across threads", refs.len());
 
-    // Streaming: feed a document chunk by chunk at the word level.
+    // Streaming: feed the raw document chunk by chunk; the verdict is the
+    // one `recognize` gives the whole string.
     let mut session = served.session();
-    let word = served.converted_word("{\"stream\":[1,2,3]}").expect("member converts");
-    for chunk in word.as_bytes().chunks(3) {
+    for chunk in "{\"stream\":[1,2,3]}".as_bytes().chunks(3) {
         session.push_bytes(chunk);
     }
     println!("streamed verdict: {}", session.finish());
