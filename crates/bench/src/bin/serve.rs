@@ -18,16 +18,19 @@
 //! Defaults: all five grammars, `--seed 42`, `--samples 300`, `--budget 40`,
 //! `--passes 40`. A full-set run at the default configuration rewrites the
 //! tracked `BENCH_serve.json`. Corpus shapes, acceptance counts and artifact
-//! sizes are deterministic for a fixed seed; the `*_chars_per_sec` and
-//! `speedup` fields are wall-clock measurements and are excluded from the
-//! determinism claim (the same convention as `BENCH_table1.json`'s
-//! `time_seconds`).
+//! sizes are deterministic for a fixed seed; the `*_chars_per_sec`,
+//! `speedup` and `batch_scaling` fields are wall-clock measurements and are
+//! excluded from the determinism claim (the same convention as
+//! `BENCH_table1.json`'s `time_seconds`).
 //!
 //! `--check` turns the run into the CI smoke gate: the process exits nonzero
 //! when the compiled artifact disagrees with the uncompiled parser on any
-//! corpus word, or when a save → load round trip drifts. Throughput is
-//! printed but not gated (CI machines are noisy); the committed
-//! `BENCH_serve.json` documents the measured speedups.
+//! corpus word, when a save → load round trip drifts, or when the raw-input
+//! entry points disagree on any stripped corpus string — for the compiled
+//! and the reloaded artifact alike, `recognize(r)`,
+//! `converted_word(r).is_some()` and `parse(r).is_ok()` must be one verdict.
+//! Throughput is printed but not gated (CI machines are noisy); the
+//! committed `BENCH_serve.json` documents the measured speedups.
 
 use std::time::Instant;
 
@@ -72,6 +75,9 @@ struct ServeRow {
     compiled_chars_per_sec: f64,
     /// `compiled_chars_per_sec / uncompiled_chars_per_sec` (wall clock).
     speedup: f64,
+    /// Single-thread throughput of raw-string `CompiledGrammar::recognize`
+    /// (wall clock).
+    raw_chars_per_sec: f64,
     /// Raw-string batch throughput across scoped threads (wall clock).
     batch_chars_per_sec: f64,
     /// `batch_chars_per_sec / compiled single-thread raw throughput` (wall clock).
@@ -168,8 +174,23 @@ fn main() {
         let uncompiled_cps = time_passes(&|w| parser.recognize(w));
         let compiled_cps = time_passes(&|w| compiled.recognize_word(w));
 
-        // Batch path: raw strings across scoped threads vs. one thread.
+        // Raw-input agreement: the three raw entry points share one scan and
+        // must give one verdict on every stripped word.
         let raws: Vec<String> = words.iter().map(|w| learned.strip(w)).collect();
+        for r in &raws {
+            for (engine, g) in [("compiled", &compiled), ("reloaded", &reloaded)] {
+                let verdicts = [g.recognize(r), g.converted_word(r).is_some(), g.parse(r).is_ok()];
+                if verdicts.contains(&!verdicts[0]) {
+                    eprintln!(
+                        "FAIL {name}: {engine} raw entry points disagree on {r:?} \
+                         (recognize, converted_word, parse: {verdicts:?})"
+                    );
+                    check_failed = true;
+                }
+            }
+        }
+
+        // Batch path: raw strings across scoped threads vs. one thread.
         let raw_refs: Vec<&str> = raws.iter().map(String::as_str).collect();
         let raw_chars: usize = raws.iter().map(|r| r.chars().count()).sum();
         let start = Instant::now();
@@ -201,6 +222,7 @@ fn main() {
             uncompiled_chars_per_sec: uncompiled_cps,
             compiled_chars_per_sec: compiled_cps,
             speedup: compiled_cps / uncompiled_cps.max(1e-9),
+            raw_chars_per_sec: single_raw_cps,
             batch_chars_per_sec: batch_cps,
             batch_scaling: batch_cps / single_raw_cps.max(1e-9),
         });
@@ -209,11 +231,12 @@ fn main() {
     println!("Serving throughput: compiled artifact vs uncompiled parser (seed {seed})");
     println!();
     println!(
-        "grammar\twords\tchars\tstates\tuncompiled MB/s\tcompiled MB/s\tspeedup\tbatch-scaling"
+        "grammar\twords\tchars\tstates\tuncompiled MB/s\tcompiled MB/s\tspeedup\traw MB/s\t\
+         batch-scaling"
     );
     for r in &rows {
         println!(
-            "{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}x\t{:.1}x",
+            "{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}x\t{:.1}\t{:.1}x",
             r.grammar,
             r.corpus_words,
             r.corpus_chars,
@@ -221,6 +244,7 @@ fn main() {
             r.uncompiled_chars_per_sec / 1e6,
             r.compiled_chars_per_sec / 1e6,
             r.speedup,
+            r.raw_chars_per_sec / 1e6,
             r.batch_scaling,
         );
     }
@@ -245,6 +269,9 @@ fn main() {
         if check_failed {
             std::process::exit(1);
         }
-        println!("check passed: compiled, reloaded and uncompiled engines agree on every word");
+        println!(
+            "check passed: compiled, reloaded and uncompiled engines agree on every word, and \
+             raw recognize, converted_word and parse agree on every raw string"
+        );
     }
 }

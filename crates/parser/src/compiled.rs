@@ -30,6 +30,22 @@
 //!   The paper's §5.1 example (`{"{":true}` — a call-token `{` inside a
 //!   string literal) tokenizes correctly without a single query, because the
 //!   learned string-content rules loop on `{`.
+//! * **The raw scan allocates nothing per call.** Token-mode
+//!   [`CompiledGrammar::recognize`], [`CompiledGrammar::parse`] and
+//!   [`CompiledGrammar::converted_word`] share one scan (and so do sessions,
+//!   batches and the `vstar-serve` daemon, which all call `recognize`).
+//!   Each tokenizer matcher is compiled into a dense `state × ASCII`
+//!   transition table when the artifact is assembled, and each pair's marker
+//!   codes are classified once, so finding a token is a few array reads.
+//!   The frontier is a first-in-first-out bucket per input position; the
+//!   characters, hash-consed stack nodes, buckets and visited set live in a
+//!   per-thread scratch that every call reuses (dropped again after very
+//!   large inputs). The scan processes configurations by ascending position
+//!   and, within a position, in the order they were queued. Its
+//!   configuration budget depends on that order: it admits the first
+//!   `MAX_SCAN_CONFIGS` configurations in it, so an input that exhausts the
+//!   budget gets the same verdict on every run, and an ambiguous input the
+//!   same reading.
 //!
 //! `CompiledGrammar` is `Send + Sync + Clone + 'static`, serializes to a
 //! versioned on-disk format ([`CompiledGrammar::save`] /
@@ -38,13 +54,16 @@
 //! [`crate::serve`]). Compile once with [`CompileLearned::compile`], serve
 //! forever.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::Serialize;
 
 use vstar::tokenizer::{call_marker, return_marker, TokenKind, TokenMatcher};
 use vstar::{LearnedLanguage, PartialTokenizer, TokenDiscovery, VStarResult};
+use vstar_automata::Dfa;
 use vstar_vpl::{NonterminalId, TaggedChar, Vpg};
 
 use crate::error::ParseError;
@@ -118,7 +137,7 @@ struct Automaton {
     /// `char → (kind << 30) | id` for ASCII, with a spill map for the rest
     /// (the artificial token markers live in the private use area).
     ascii: Vec<u32>,
-    other: HashMap<char, u32>,
+    other: FastMap<char, u32>,
     /// Number of interned stack symbols (one per reachable `(state, call)`).
     n_syms: usize,
     start: u32,
@@ -450,7 +469,7 @@ impl<'t> Builder<'t> {
             .collect();
 
         let mut ascii = vec![SYM_UNKNOWN; 128];
-        let mut other = HashMap::new();
+        let mut other = FastMap::default();
         let mut classify = |ch: char, code: u32| {
             let v = ch as u32;
             if v < 128 {
@@ -485,15 +504,297 @@ impl<'t> Builder<'t> {
     }
 }
 
+/// A multiply-rotate hasher (the `FxHash` scheme) for the scan's small
+/// integer keys — positions, automaton states, interned stack ids — and for
+/// the grammar's own non-ASCII symbols. No key is raw input the caller
+/// chooses, so SipHash's flooding resistance buys nothing, and it costs most
+/// of a lookup.
+#[derive(Clone, Copy, Default)]
+struct FastHasher(u64);
+
+impl FastHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+
+/// One tokenizer matcher (a literal or a DFA) compiled for the scan: the
+/// states reachable from the start, renumbered densely, with a
+/// `state × ASCII class` transition table and the non-ASCII transitions in a
+/// sorted list. Derived from the tokenizer when the artifact is assembled;
+/// never persisted.
+#[derive(Clone, Debug)]
+struct DenseMatcher {
+    accepting: Vec<bool>,
+    /// ASCII character → column of `ascii_trans` (0: no transition).
+    class: [u8; 128],
+    columns: usize,
+    /// `[state * columns + class] → state` (or [`DEAD`]); state 0 is the
+    /// start.
+    ascii_trans: Vec<u32>,
+    /// `((state, char), state)` for non-ASCII characters, sorted.
+    other: Vec<((u32, char), u32)>,
+}
+
+impl DenseMatcher {
+    fn new(matcher: &TokenMatcher) -> Self {
+        let literal;
+        let dfa = match matcher {
+            TokenMatcher::Literal(lit) => {
+                literal = Dfa::literal(Vec::new(), lit);
+                &literal
+            }
+            TokenMatcher::Dfa(dfa) => dfa,
+        };
+        let mut class = [0u8; 128];
+        let mut columns = 1usize;
+        for &c in dfa.alphabet() {
+            if (c as u32) < 128 && class[c as usize] == 0 {
+                class[c as usize] = columns as u8;
+                columns += 1;
+            }
+        }
+        // Breadth-first renumbering of the reachable states: tables grow with
+        // the automaton, not with the state count a document declares.
+        let mut dense: HashMap<usize, u32> = HashMap::from([(dfa.initial(), 0)]);
+        let mut order = vec![dfa.initial()];
+        let mut i = 0;
+        while i < order.len() {
+            let s = order[i];
+            i += 1;
+            for &c in dfa.alphabet() {
+                if let Some(t) = dfa.delta(s, c) {
+                    dense.entry(t).or_insert_with(|| {
+                        order.push(t);
+                        order.len() as u32 - 1
+                    });
+                }
+            }
+        }
+        let mut ascii_trans = vec![DEAD; order.len() * columns];
+        let mut other = Vec::new();
+        for (from, &s) in order.iter().enumerate() {
+            for &c in dfa.alphabet() {
+                let Some(t) = dfa.delta(s, c) else { continue };
+                if (c as u32) < 128 {
+                    ascii_trans[from * columns + class[c as usize] as usize] = dense[&t];
+                } else {
+                    other.push(((from as u32, c), dense[&t]));
+                }
+            }
+        }
+        other.sort_unstable();
+        other.dedup();
+        let accepting = order.iter().map(|s| dfa.accepting().contains(s)).collect();
+        DenseMatcher { accepting, class, columns, ascii_trans, other }
+    }
+
+    /// Whether some token of this matcher begins with ASCII character `c`.
+    fn starts_with(&self, c: usize) -> bool {
+        self.ascii_trans[self.class[c] as usize] != DEAD
+    }
+
+    /// Length of the shortest non-empty prefix of `rest` this matcher
+    /// accepts, looking at most `limit` characters ahead.
+    #[inline]
+    fn shortest_match(&self, rest: &[char], limit: usize) -> Option<usize> {
+        let mut state = 0u32;
+        for (i, &c) in rest.iter().take(limit).enumerate() {
+            let v = c as u32;
+            state = if v < 128 {
+                self.ascii_trans[state as usize * self.columns + self.class[v as usize] as usize]
+            } else {
+                match self.other.binary_search_by_key(&(state, c), |&(key, _)| key) {
+                    Ok(at) => self.other[at].1,
+                    Err(_) => DEAD,
+                }
+            };
+            if state == DEAD {
+                return None;
+            }
+            if self.accepting[state as usize] {
+                return Some(i + 1);
+            }
+        }
+        None
+    }
+}
+
+/// One token pair as the scan uses it: both dense matchers and the
+/// classified codes of the pair's call and return markers.
+#[derive(Clone, Debug)]
+struct ScanPair {
+    call: DenseMatcher,
+    ret: DenseMatcher,
+    call_code: u32,
+    ret_code: u32,
+}
+
+/// The tokenizer compiled for the scan (derived from the artifact's
+/// tokenizer and automaton when it is assembled; never persisted).
+#[derive(Clone, Debug)]
+struct TokenScan {
+    pairs: Vec<ScanPair>,
+    /// ASCII characters some matcher can begin a token with; at every other
+    /// ASCII character no pair matches.
+    may_start: [bool; 128],
+}
+
+impl TokenScan {
+    fn new(tokenizer: &PartialTokenizer, auto: &Automaton) -> Self {
+        let pairs: Vec<ScanPair> = tokenizer
+            .pairs()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| ScanPair {
+                call: DenseMatcher::new(&p.call),
+                ret: DenseMatcher::new(&p.ret),
+                call_code: auto.classify(call_marker(i)),
+                ret_code: auto.classify(return_marker(i)),
+            })
+            .collect();
+        let mut may_start = [false; 128];
+        for (c, slot) in may_start.iter_mut().enumerate() {
+            *slot = pairs.iter().any(|p| p.call.starts_with(c) || p.ret.starts_with(c));
+        }
+        TokenScan { pairs, may_start }
+    }
+}
+
 /// One candidate token occurrence at an input position, shared by every
 /// tokenization branch (the first/shortest match rule of the learning-time
 /// scanner depends only on the input).
 #[derive(Copy, Clone, Debug)]
 struct Candidate {
-    pair: usize,
+    pair: u32,
     kind: TokenKind,
-    len: usize,
+    len: u32,
 }
+
+/// "No configuration" link in the frontier's bucket lists.
+const NIL: u32 = u32::MAX;
+
+/// One frontier configuration, linked into its position's bucket.
+#[derive(Copy, Clone, Debug)]
+struct Config {
+    state: u32,
+    /// Hash-consed stack id (0 = empty).
+    stack: u32,
+    /// Take-decision trace id (0 = none).
+    trace: u32,
+    /// The next configuration of the same bucket, or [`NIL`].
+    next: u32,
+}
+
+/// The scan's working memory, kept per thread and reused by every call: the
+/// input's characters, the hash-consed stack nodes, the frontier and the
+/// visited set, and the take-decision traces.
+#[derive(Default)]
+struct ScanScratch {
+    chars: Vec<char>,
+    /// Stack nodes `(below, symbol)`; node id `i + 1` is `nodes[i]`.
+    nodes: Vec<(u32, u32)>,
+    node_ix: FastMap<(u32, u32), u32>,
+    /// Take-decision traces `(parent, position, candidate)`; trace id
+    /// `i + 1` is `traces[i]`.
+    traces: Vec<(u32, u32, Candidate)>,
+    frontier: Frontier,
+}
+
+/// The scan frontier: one FIFO bucket per input position, threaded through a
+/// single arena of configurations, plus the visited set and the budget.
+#[derive(Default)]
+struct Frontier {
+    configs: Vec<Config>,
+    /// `(first, last)` configuration of each position's bucket.
+    buckets: Vec<(u32, u32)>,
+    visited: FastSet<(usize, u32, u32)>,
+    budget: usize,
+    /// Highest position with a queued configuration.
+    last: usize,
+    /// Whether the budget refused a configuration not seen before.
+    exhausted: bool,
+}
+
+impl Frontier {
+    fn reset(&mut self, positions: usize) {
+        self.configs.clear();
+        self.buckets.clear();
+        self.buckets.resize(positions, (NIL, NIL));
+        self.visited.clear();
+        self.budget = MAX_SCAN_CONFIGS;
+        self.last = 0;
+        self.exhausted = false;
+    }
+
+    /// Queues `(pos, state, stack)` at the back of its bucket unless it was
+    /// queued before or the budget is spent.
+    #[inline]
+    fn push(&mut self, pos: usize, state: u32, stack: u32, trace: u32) {
+        if self.budget == 0 {
+            self.exhausted |= !self.visited.contains(&(pos, state, stack));
+            return;
+        }
+        if !self.visited.insert((pos, state, stack)) {
+            return;
+        }
+        self.budget -= 1;
+        let ix = self.configs.len() as u32;
+        self.configs.push(Config { state, stack, trace, next: NIL });
+        let bucket = &mut self.buckets[pos];
+        if bucket.0 == NIL {
+            bucket.0 = ix;
+        } else {
+            self.configs[bucket.1 as usize].next = ix;
+        }
+        bucket.1 = ix;
+        self.last = self.last.max(pos);
+    }
+}
+
+thread_local! {
+    /// The calling thread's scan scratch (see [`CompiledGrammar::scan_tokens`]).
+    static SCAN_SCRATCH: RefCell<ScanScratch> = RefCell::default();
+}
+
+/// Inputs longer than this many characters do not leave their buffers in
+/// the thread's scan scratch, so one huge input does not pin its memory in a
+/// long-lived serving thread.
+const SCRATCH_KEEP_CHARS: usize = 1 << 16;
+
+/// Scans that queued more configurations than this do not leave their
+/// buffers in the scratch either: clearing a hash set costs time in
+/// proportion to its capacity, so one budget-exhausting scan would
+/// otherwise slow every later short one.
+const SCRATCH_KEEP_CONFIGS: usize = 1 << 12;
 
 /// A compiled, owned, oracle-free serving artifact for one learned grammar.
 ///
@@ -528,6 +829,7 @@ pub struct CompiledGrammar {
     auto: Automaton,
     tokenizer: PartialTokenizer,
     mode: TokenDiscovery,
+    scan: TokenScan,
 }
 
 /// Compile-time proof that the artifact is freely shareable across threads.
@@ -658,7 +960,9 @@ pub struct GrammarStats {
 
 /// Cap on tokenization configurations explored per input; exceeding it treats
 /// the input as rejected (a defensive bound — live configurations are
-/// deduplicated on `(position, state, stack)` and die fast in practice).
+/// deduplicated on `(position, state, stack)` and die fast in practice). A
+/// scan that ends without an accepting branch after the cap refused a
+/// configuration counts one `serve.scan_exhausted`.
 const MAX_SCAN_CONFIGS: usize = 1 << 17;
 
 /// Outcome of the compiled conversion scan (token mode).
@@ -670,6 +974,9 @@ struct ScanOutcome {
     furthest: usize,
     /// Whether some branch consumed the whole input (but did not accept).
     reached_end: bool,
+    /// Whether [`MAX_SCAN_CONFIGS`] refused a configuration the scan had not
+    /// seen: without an accepting branch, the reject may then be a false one.
+    exhausted: bool,
 }
 
 impl CompiledGrammar {
@@ -746,7 +1053,8 @@ impl CompiledGrammar {
                 ("nonterminals", vpg.nonterminal_count() as u64),
             ],
         );
-        Ok(CompiledGrammar { vpg, tables, auto, tokenizer, mode })
+        let scan = TokenScan::new(&tokenizer, &auto);
+        Ok(CompiledGrammar { vpg, tables, auto, tokenizer, mode, scan })
     }
 
     /// The grammar this artifact was compiled from.
@@ -863,10 +1171,7 @@ impl CompiledGrammar {
         }
         match self.mode {
             TokenDiscovery::Characters => self.recognize_word(s),
-            TokenDiscovery::Tokens => {
-                let chars: Vec<char> = s.chars().collect();
-                self.scan_tokens(&chars, false).takes.is_some()
-            }
+            TokenDiscovery::Tokens => self.scan_tokens(s, false).takes.is_some(),
         }
     }
 
@@ -890,8 +1195,7 @@ impl CompiledGrammar {
         match self.mode {
             TokenDiscovery::Characters => self.parse_word(s),
             TokenDiscovery::Tokens => {
-                let chars: Vec<char> = s.chars().collect();
-                let outcome = self.scan_tokens(&chars, true);
+                let outcome = self.scan_tokens(s, true);
                 let Some(takes) = outcome.takes else {
                     let err = if outcome.reached_end {
                         ParseError::incomplete()
@@ -900,6 +1204,7 @@ impl CompiledGrammar {
                     };
                     return Err(err.with_raw_char_context(s, outcome.furthest));
                 };
+                let chars: Vec<char> = s.chars().collect();
                 let (converted, raw_index) = build_converted(&chars, &takes);
                 let tagged: Vec<TaggedChar> = self.vpg.tagging().tag(&converted);
                 self.tables.parse_tagged(&tagged).map_err(|e| {
@@ -919,8 +1224,8 @@ impl CompiledGrammar {
         match self.mode {
             TokenDiscovery::Characters => self.recognize_word(s).then(|| s.to_string()),
             TokenDiscovery::Tokens => {
+                let takes = self.scan_tokens(s, true).takes?;
                 let chars: Vec<char> = s.chars().collect();
-                let takes = self.scan_tokens(&chars, true).takes?;
                 Some(build_converted(&chars, &takes).0)
             }
         }
@@ -929,15 +1234,19 @@ impl CompiledGrammar {
     /// First/shortest candidate token match at `chars[pos..]`, mirroring the
     /// learning-time scanner's match rule (earlier pair wins ties, call before
     /// return within a pair, shortest match per matcher).
+    #[inline]
     fn first_match_at(&self, chars: &[char], pos: usize) -> Option<Candidate> {
         let rest = &chars[pos..];
+        if rest[0].is_ascii() && !self.scan.may_start[rest[0] as usize] {
+            return None;
+        }
         let mut best: Option<Candidate> = None;
-        for (pair, p) in self.tokenizer.pairs().iter().enumerate() {
+        for (pair, p) in self.scan.pairs.iter().enumerate() {
             for (kind, matcher) in [(TokenKind::Call, &p.call), (TokenKind::Return, &p.ret)] {
-                if let Some(len) = shortest_match_len(matcher, rest) {
-                    if best.is_none_or(|b| len < b.len) {
-                        best = Some(Candidate { pair, kind, len });
-                    }
+                // Only a strictly shorter match can displace the best so far.
+                let limit = best.map_or(usize::MAX, |b| b.len as usize - 1);
+                if let Some(len) = matcher.shortest_match(rest, limit) {
+                    best = Some(Candidate { pair: pair as u32, kind, len: len as u32 });
                 }
             }
         }
@@ -946,6 +1255,7 @@ impl CompiledGrammar {
 
     /// The state after reading `occ` as plain text from `state`, or `None`
     /// when the run dies.
+    #[inline]
     fn run_plains(&self, mut state: u32, occ: &[char]) -> Option<u32> {
         for &c in occ {
             let code = self.auto.classify(c);
@@ -1000,77 +1310,86 @@ impl CompiledGrammar {
     /// one decision sequence per position, so whenever its decisions are
     /// take-executable/loop-repeatable here, that run is among the explored
     /// branches.
-    fn scan_tokens(&self, chars: &[char], want_trace: bool) -> ScanOutcome {
+    ///
+    /// Configurations are processed by ascending position and, within a
+    /// position, in the order they were queued; every branch moves forward,
+    /// so a position's bucket is complete when the scan reaches it. The
+    /// [`MAX_SCAN_CONFIGS`] budget therefore admits the same configurations
+    /// on every run. All working memory comes from the calling thread's
+    /// [`ScanScratch`]; `want_trace` records the take decisions that
+    /// [`CompiledGrammar::parse`] and [`CompiledGrammar::converted_word`]
+    /// need.
+    fn scan_tokens(&self, s: &str, want_trace: bool) -> ScanOutcome {
+        let outcome = SCAN_SCRATCH.with(|cell| {
+            let mut scratch = cell.take();
+            let outcome = self.scan_in(&mut scratch, s, want_trace);
+            if scratch.chars.len() <= SCRATCH_KEEP_CHARS
+                && scratch.frontier.configs.len() <= SCRATCH_KEEP_CONFIGS
+            {
+                cell.replace(scratch);
+            }
+            outcome
+        });
+        if outcome.exhausted && outcome.takes.is_none() && vstar_telemetry::enabled() {
+            vstar_telemetry::counter("serve.scan_exhausted", 1);
+        }
+        outcome
+    }
+
+    /// [`CompiledGrammar::scan_tokens`] over explicit scratch buffers.
+    fn scan_in(&self, scratch: &mut ScanScratch, s: &str, want_trace: bool) -> ScanOutcome {
         let auto = &self.auto;
-        // Candidate matches depend only on the input — compute them once.
-        let matches: Vec<Option<Candidate>> =
-            (0..chars.len()).map(|i| self.first_match_at(chars, i)).collect();
+        let ScanScratch { chars, nodes, node_ix, traces, frontier } = scratch;
+        chars.clear();
+        chars.extend(s.chars());
+        nodes.clear();
+        node_ix.clear();
+        traces.clear();
+        let n = chars.len();
+        frontier.reset(n + 1);
+        frontier.push(0, auto.start, 0, 0);
 
-        // Hash-consed stacks: id 0 is the empty stack; node ids are offset by
-        // one into `nodes`.
-        let mut nodes: Vec<(u32, u32)> = Vec::new();
-        let mut node_ix: HashMap<(u32, u32), u32> = HashMap::new();
-        // Take-decision traces for parse: (parent, position, candidate).
-        let mut traces: Vec<(u32, u32, Candidate)> = Vec::new();
-
-        let mut frontier: BTreeMap<usize, Vec<(u32, u32, u32)>> = BTreeMap::new();
-        let mut visited: HashSet<(usize, u32, u32)> = HashSet::new();
-        let mut budget = MAX_SCAN_CONFIGS;
         let mut furthest = 0usize;
         let mut reached_end = false;
-
-        let enqueue = |frontier: &mut BTreeMap<usize, Vec<(u32, u32, u32)>>,
-                       visited: &mut HashSet<(usize, u32, u32)>,
-                       budget: &mut usize,
-                       pos: usize,
-                       state: u32,
-                       stack: u32,
-                       trace: u32| {
-            if *budget == 0 || !visited.insert((pos, state, stack)) {
-                return;
+        let mut pos = 0usize;
+        while pos <= frontier.last {
+            let mut at = frontier.buckets[pos].0;
+            if at == NIL {
+                pos += 1;
+                continue;
             }
-            *budget -= 1;
-            frontier.entry(pos).or_default().push((state, stack, trace));
-        };
-        enqueue(&mut frontier, &mut visited, &mut budget, 0, auto.start, 0, 0);
-
-        while let Some((pos, bucket)) = frontier.pop_first() {
-            furthest = furthest.max(pos);
-            for (state, stack, trace) in bucket {
-                if pos == chars.len() {
+            furthest = pos;
+            // Candidate matches depend only on the input: one per position.
+            let cand = if pos < n { self.first_match_at(chars, pos) } else { None };
+            while at != NIL {
+                let Config { state, stack, trace, next } = frontier.configs[at as usize];
+                at = next;
+                if pos == n {
                     if stack == 0 && auto.accepting[state as usize] {
                         return ScanOutcome {
-                            takes: Some(unwind_trace(&traces, trace)),
+                            takes: Some(unwind_trace(traces, trace)),
                             furthest: pos,
                             reached_end: true,
+                            exhausted: frontier.exhausted,
                         };
                     }
                     reached_end = true;
                     continue;
                 }
 
-                let cand = matches[pos];
                 // Plain/skip branch: the character at `pos` is plain text —
                 // always available where nothing matches, gated by the
                 // materialized k-Repetition predicate where something does.
                 let skip_allowed = match cand {
                     None => true,
-                    Some(c) => self.repeatable(state, &chars[pos..pos + c.len]),
+                    Some(c) => self.repeatable(state, &chars[pos..pos + c.len as usize]),
                 };
                 if skip_allowed {
                     let code = auto.classify(chars[pos]);
                     if code >> 30 == KIND_PLAIN {
                         let s2 = auto.plain_step(state, code & 0x3FFF_FFFF);
                         if s2 != DEAD {
-                            enqueue(
-                                &mut frontier,
-                                &mut visited,
-                                &mut budget,
-                                pos + 1,
-                                s2,
-                                stack,
-                                trace,
-                            );
+                            frontier.push(pos + 1, s2, stack, trace);
                         }
                     }
                 }
@@ -1079,69 +1398,49 @@ impl CompiledGrammar {
                 let Some(cand) = cand else {
                     continue;
                 };
-                let marker = match cand.kind {
-                    TokenKind::Call => call_marker(cand.pair),
-                    TokenKind::Return => return_marker(cand.pair),
-                };
-                let mcode = auto.classify(marker);
-                let (mut s2, mut stack2) = (state, stack);
-                let mut alive = match cand.kind {
+                let pair = &self.scan.pairs[cand.pair as usize];
+                let occ = &chars[pos..pos + cand.len as usize];
+                // The occurrence's characters are the token's plain text:
+                // after the call marker, or before the return marker.
+                let next = match cand.kind {
                     TokenKind::Call => {
-                        if mcode >> 30 != KIND_CALL {
-                            false
+                        let (body, sym) = if pair.call_code >> 30 == KIND_CALL {
+                            auto.call_step(state, pair.call_code & 0x3FFF_FFFF)
                         } else {
-                            let (body, sym) = auto.call_step(s2, mcode & 0x3FFF_FFFF);
-                            if body == DEAD {
-                                false
-                            } else {
-                                stack2 = *node_ix.entry((stack2, sym)).or_insert_with(|| {
-                                    nodes.push((stack, sym));
-                                    nodes.len() as u32
-                                });
-                                s2 = body;
-                                true
-                            }
+                            (DEAD, 0)
+                        };
+                        if body == DEAD {
+                            None
+                        } else {
+                            let pushed = *node_ix.entry((stack, sym)).or_insert_with(|| {
+                                nodes.push((stack, sym));
+                                nodes.len() as u32
+                            });
+                            self.run_plains(body, occ).map(|q| (q, pushed))
                         }
                     }
-                    TokenKind::Return => true,
+                    TokenKind::Return => match self.run_plains(state, occ) {
+                        Some(q) if pair.ret_code >> 30 == KIND_RETURN && stack != 0 => {
+                            let (below, sym) = nodes[stack as usize - 1];
+                            let after = auto.ret_step(q, sym, pair.ret_code & 0x3FFF_FFFF);
+                            (after != DEAD).then_some((after, below))
+                        }
+                        _ => None,
+                    },
                 };
-                if alive {
-                    // The occurrence's characters are the token's plain text.
-                    match self.run_plains(s2, &chars[pos..pos + cand.len]) {
-                        Some(q) => s2 = q,
-                        None => alive = false,
-                    }
-                }
-                if alive && cand.kind == TokenKind::Return {
-                    alive = if mcode >> 30 != KIND_RETURN || stack2 == 0 {
-                        false
-                    } else {
-                        let (below, sym) = nodes[stack2 as usize - 1];
-                        s2 = auto.ret_step(s2, sym, mcode & 0x3FFF_FFFF);
-                        stack2 = below;
-                        s2 != DEAD
-                    };
-                }
-                if alive {
+                if let Some((s2, stack2)) = next {
                     let trace2 = if want_trace {
                         traces.push((trace, pos as u32, cand));
                         traces.len() as u32
                     } else {
                         0
                     };
-                    enqueue(
-                        &mut frontier,
-                        &mut visited,
-                        &mut budget,
-                        pos + cand.len,
-                        s2,
-                        stack2,
-                        trace2,
-                    );
+                    frontier.push(pos + cand.len as usize, s2, stack2, trace2);
                 }
             }
+            pos += 1;
         }
-        ScanOutcome { takes: None, furthest, reached_end }
+        ScanOutcome { takes: None, furthest, reached_end, exhausted: frontier.exhausted }
     }
 }
 
@@ -1171,19 +1470,20 @@ fn build_converted(chars: &[char], takes: &[(usize, Candidate)]) -> (String, Vec
         match take_iter.peek() {
             Some(&&(pos, cand)) if pos == i => {
                 take_iter.next();
+                let len = cand.len as usize;
                 if cand.kind == TokenKind::Call {
-                    out.push(call_marker(cand.pair));
+                    out.push(call_marker(cand.pair as usize));
                     raw_index.push(i);
                 }
-                for &c in &chars[i..i + cand.len] {
+                for &c in &chars[i..i + len] {
                     out.push(c);
                     raw_index.push(i);
                 }
                 if cand.kind == TokenKind::Return {
-                    out.push(return_marker(cand.pair));
-                    raw_index.push(i + cand.len - 1);
+                    out.push(return_marker(cand.pair as usize));
+                    raw_index.push(i + len - 1);
                 }
-                i += cand.len;
+                i += len;
             }
             _ => {
                 out.push(chars[i]);
@@ -1193,35 +1493,6 @@ fn build_converted(chars: &[char], takes: &[(usize, Candidate)]) -> (String, Vec
         }
     }
     (out, raw_index)
-}
-
-/// Length (in characters) of the shortest non-empty prefix of `rest` matched
-/// by `matcher` — the char-slice equivalent of
-/// `TokenMatcher::prefix_match_lengths(..).first()`.
-fn shortest_match_len(matcher: &TokenMatcher, rest: &[char]) -> Option<usize> {
-    match matcher {
-        TokenMatcher::Literal(lit) => {
-            let mut n = 0usize;
-            let mut it = rest.iter();
-            for lc in lit.chars() {
-                if it.next() != Some(&lc) {
-                    return None;
-                }
-                n += 1;
-            }
-            (n > 0).then_some(n)
-        }
-        TokenMatcher::Dfa(dfa) => {
-            let mut state = dfa.initial();
-            for (i, &c) in rest.iter().enumerate() {
-                state = dfa.delta(state, c)?;
-                if dfa.accepting().contains(&state) {
-                    return Some(i + 1);
-                }
-            }
-            None
-        }
-    }
 }
 
 /// Attaches raw-input context to a word-level error where word characters are
@@ -1272,6 +1543,9 @@ impl CompileLearned for VStarResult {
         CompiledGrammar::from_learned(&self.as_learned_language())
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -1,0 +1,388 @@
+//! The token scan as it was before the allocation-free rewrite, kept as a
+//! test-only reference: `BTreeMap` frontier, SipHash-keyed stack interning
+//! and visited set, `TokenMatcher`-walking matchers and fresh buffers per
+//! call. The helpers the rewrite left unchanged (the k-Repetition predicate,
+//! trace unwinding, converted-word assembly) are shared with the serving
+//! scan. The equivalence tests below feed it and the serving scan the same
+//! inputs and require identical verdicts, conversions, trees and errors.
+
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+use vstar::tokenizer::{call_marker, return_marker, TokenKind, TokenMatcher};
+use vstar_vpl::TaggedChar;
+
+use super::{
+    build_converted, unwind_trace, Candidate, CompiledGrammar, DEAD, KIND_CALL, KIND_PLAIN,
+    KIND_RETURN,
+};
+use crate::error::ParseError;
+use crate::tree::ParseTree;
+
+/// Outcome of the reference scan.
+struct RefOutcome {
+    takes: Option<Vec<(usize, Candidate)>>,
+    furthest: usize,
+    reached_end: bool,
+}
+
+/// [`CompiledGrammar::recognize`] over the reference scan (token mode).
+pub(super) fn recognize(g: &CompiledGrammar, s: &str) -> bool {
+    let chars: Vec<char> = s.chars().collect();
+    scan_tokens(g, &chars, false).takes.is_some()
+}
+
+/// [`CompiledGrammar::converted_word`] over the reference scan (token mode).
+pub(super) fn converted_word(g: &CompiledGrammar, s: &str) -> Option<String> {
+    let chars: Vec<char> = s.chars().collect();
+    let takes = scan_tokens(g, &chars, true).takes?;
+    Some(build_converted(&chars, &takes).0)
+}
+
+/// [`CompiledGrammar::parse`] over the reference scan (token mode).
+pub(super) fn parse(g: &CompiledGrammar, s: &str) -> Result<ParseTree, ParseError> {
+    let chars: Vec<char> = s.chars().collect();
+    let outcome = scan_tokens(g, &chars, true);
+    let Some(takes) = outcome.takes else {
+        let err = if outcome.reached_end {
+            ParseError::incomplete()
+        } else {
+            ParseError::stuck(outcome.furthest)
+        };
+        return Err(err.with_raw_char_context(s, outcome.furthest));
+    };
+    let (converted, raw_index) = build_converted(&chars, &takes);
+    let tagged: Vec<TaggedChar> = g.vpg.tagging().tag(&converted);
+    g.tables.parse_tagged(&tagged).map_err(|e| {
+        let raw_char = e.position().and_then(|p| raw_index.get(p).copied()).unwrap_or(chars.len());
+        e.with_raw_char_context(s, raw_char)
+    })
+}
+
+fn first_match_at(g: &CompiledGrammar, chars: &[char], pos: usize) -> Option<Candidate> {
+    let rest = &chars[pos..];
+    let mut best: Option<Candidate> = None;
+    for (pair, p) in g.tokenizer.pairs().iter().enumerate() {
+        for (kind, matcher) in [(TokenKind::Call, &p.call), (TokenKind::Return, &p.ret)] {
+            if let Some(len) = shortest_match_len(matcher, rest) {
+                if best.is_none_or(|b| len < b.len as usize) {
+                    best = Some(Candidate { pair: pair as u32, kind, len: len as u32 });
+                }
+            }
+        }
+    }
+    best
+}
+
+fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutcome {
+    let auto = &g.auto;
+    let matches: Vec<Option<Candidate>> =
+        (0..chars.len()).map(|i| first_match_at(g, chars, i)).collect();
+
+    let mut nodes: Vec<(u32, u32)> = Vec::new();
+    let mut node_ix: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut traces: Vec<(u32, u32, Candidate)> = Vec::new();
+
+    let mut frontier: BTreeMap<usize, Vec<(u32, u32, u32)>> = BTreeMap::new();
+    let mut visited: HashSet<(usize, u32, u32)> = HashSet::new();
+    let mut budget = super::MAX_SCAN_CONFIGS;
+    let mut furthest = 0usize;
+    let mut reached_end = false;
+
+    let enqueue = |frontier: &mut BTreeMap<usize, Vec<(u32, u32, u32)>>,
+                   visited: &mut HashSet<(usize, u32, u32)>,
+                   budget: &mut usize,
+                   pos: usize,
+                   state: u32,
+                   stack: u32,
+                   trace: u32| {
+        if *budget == 0 || !visited.insert((pos, state, stack)) {
+            return;
+        }
+        *budget -= 1;
+        frontier.entry(pos).or_default().push((state, stack, trace));
+    };
+    enqueue(&mut frontier, &mut visited, &mut budget, 0, auto.start, 0, 0);
+
+    while let Some((pos, bucket)) = frontier.pop_first() {
+        furthest = furthest.max(pos);
+        for (state, stack, trace) in bucket {
+            if pos == chars.len() {
+                if stack == 0 && auto.accepting[state as usize] {
+                    return RefOutcome {
+                        takes: Some(unwind_trace(&traces, trace)),
+                        furthest: pos,
+                        reached_end: true,
+                    };
+                }
+                reached_end = true;
+                continue;
+            }
+
+            let cand = matches[pos];
+            let skip_allowed = match cand {
+                None => true,
+                Some(c) => g.repeatable(state, &chars[pos..pos + c.len as usize]),
+            };
+            if skip_allowed {
+                let code = auto.classify(chars[pos]);
+                if code >> 30 == KIND_PLAIN {
+                    let s2 = auto.plain_step(state, code & 0x3FFF_FFFF);
+                    if s2 != DEAD {
+                        enqueue(
+                            &mut frontier,
+                            &mut visited,
+                            &mut budget,
+                            pos + 1,
+                            s2,
+                            stack,
+                            trace,
+                        );
+                    }
+                }
+            }
+
+            let Some(cand) = cand else {
+                continue;
+            };
+            let marker = match cand.kind {
+                TokenKind::Call => call_marker(cand.pair as usize),
+                TokenKind::Return => return_marker(cand.pair as usize),
+            };
+            let mcode = auto.classify(marker);
+            let (mut s2, mut stack2) = (state, stack);
+            let mut alive = match cand.kind {
+                TokenKind::Call => {
+                    if mcode >> 30 != KIND_CALL {
+                        false
+                    } else {
+                        let (body, sym) = auto.call_step(s2, mcode & 0x3FFF_FFFF);
+                        if body == DEAD {
+                            false
+                        } else {
+                            stack2 = *node_ix.entry((stack2, sym)).or_insert_with(|| {
+                                nodes.push((stack, sym));
+                                nodes.len() as u32
+                            });
+                            s2 = body;
+                            true
+                        }
+                    }
+                }
+                TokenKind::Return => true,
+            };
+            if alive {
+                match g.run_plains(s2, &chars[pos..pos + cand.len as usize]) {
+                    Some(q) => s2 = q,
+                    None => alive = false,
+                }
+            }
+            if alive && cand.kind == TokenKind::Return {
+                alive = if mcode >> 30 != KIND_RETURN || stack2 == 0 {
+                    false
+                } else {
+                    let (below, sym) = nodes[stack2 as usize - 1];
+                    s2 = auto.ret_step(s2, sym, mcode & 0x3FFF_FFFF);
+                    stack2 = below;
+                    s2 != DEAD
+                };
+            }
+            if alive {
+                let trace2 = if want_trace {
+                    traces.push((trace, pos as u32, cand));
+                    traces.len() as u32
+                } else {
+                    0
+                };
+                enqueue(
+                    &mut frontier,
+                    &mut visited,
+                    &mut budget,
+                    pos + cand.len as usize,
+                    s2,
+                    stack2,
+                    trace2,
+                );
+            }
+        }
+    }
+    RefOutcome { takes: None, furthest, reached_end }
+}
+
+fn shortest_match_len(matcher: &TokenMatcher, rest: &[char]) -> Option<usize> {
+    match matcher {
+        TokenMatcher::Literal(lit) => {
+            let mut n = 0usize;
+            let mut it = rest.iter();
+            for lc in lit.chars() {
+                if it.next() != Some(&lc) {
+                    return None;
+                }
+                n += 1;
+            }
+            (n > 0).then_some(n)
+        }
+        TokenMatcher::Dfa(dfa) => {
+            let mut state = dfa.initial();
+            for (i, &c) in rest.iter().enumerate() {
+                state = dfa.delta(state, c)?;
+                if dfa.accepting().contains(&state) {
+                    return Some(i + 1);
+                }
+            }
+            None
+        }
+    }
+}
+
+#[path = "../../tests/support/mod.rs"]
+mod support;
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use vstar::{Mat, VStar, VStarConfig};
+    use vstar_oracles::{table1_languages, Json, Language, Lisp};
+
+    use super::super::CompiledGrammar;
+
+    /// Learns `lang` with the default pipeline and compiles it.
+    fn compile(lang: &dyn Language) -> CompiledGrammar {
+        let oracle = |s: &str| lang.accepts(s);
+        let mat = Mat::new(&oracle);
+        let result = VStar::new(VStarConfig::default())
+            .learn(&mat, &lang.alphabet(), &lang.seeds())
+            .unwrap_or_else(|e| panic!("{}: learning failed: {e}", lang.name()));
+        CompiledGrammar::from_learned(&result.as_learned_language()).unwrap()
+    }
+
+    /// The serving scan and the reference scan give the same verdict,
+    /// conversion, tree and error on `s`.
+    fn assert_scans_agree(g: &CompiledGrammar, name: &str, s: &str) {
+        assert_eq!(g.recognize(s), super::recognize(g, s), "{name}: verdict on {s:?}");
+        assert_eq!(g.converted_word(s), super::converted_word(g, s), "{name}: conversion of {s:?}");
+        assert_eq!(g.parse(s), super::parse(g, s), "{name}: parse of {s:?}");
+    }
+
+    /// Every corpus input of the artifact round-trip tests, three more
+    /// one-character mutants of each, their conversions (marker text fed as
+    /// raw input) and `λ`-prefixed copies (non-ASCII characters), for all
+    /// five Table-1 languages.
+    #[test]
+    fn serving_scan_matches_the_reference_on_table1_corpora() {
+        for lang in table1_languages() {
+            let g = compile(lang.as_ref());
+            let alphabet = lang.alphabet();
+            let mut rng = StdRng::seed_from_u64(0x5CA7 ^ lang.name().len() as u64);
+            let corpus = super::support::corpus(lang.as_ref());
+            let mut inputs = corpus.clone();
+            for s in &corpus {
+                let chars: Vec<char> = s.chars().collect();
+                for _ in 0..3.min(chars.len()) {
+                    let mut mutant = chars.clone();
+                    mutant[rng.gen_range(0..chars.len())] =
+                        alphabet[rng.gen_range(0..alphabet.len())];
+                    inputs.push(mutant.into_iter().collect());
+                }
+                inputs.extend(g.converted_word(s));
+                inputs.push(format!("λ{s}"));
+            }
+            let mut members = 0usize;
+            for s in &inputs {
+                assert_scans_agree(&g, lang.name(), s);
+                members += usize::from(g.recognize(s));
+            }
+            assert!(members >= 30, "{}: only {members} members", lang.name());
+        }
+    }
+
+    /// An input with two accepting readings: `(x)` as a token pair around
+    /// plain text, or as plain text throughout (the plain rules loop on
+    /// both brackets, so both skips are allowed). The scan returns the
+    /// reading whose configuration was queued first at the end of the input
+    /// — the skip reading, since skip branches are queued before take
+    /// branches and buckets are first-in-first-out. Processing a bucket in
+    /// any other order returns the other reading.
+    #[test]
+    fn ambiguous_readings_resolve_in_queue_order() {
+        use vstar::tokenizer::{call_marker, return_marker, TokenMatcher};
+        use vstar::{PartialTokenizer, TokenDiscovery, TokenPair};
+        use vstar_vpl::{Tagging, VpgBuilder};
+
+        use super::super::CompileOptions;
+
+        let (call, ret) = (call_marker(0), return_marker(0));
+        let mut b = VpgBuilder::new(Tagging::from_pairs([(call, ret)]).unwrap());
+        let [s, body, body_x, body_close, plain, plain_close, end] =
+            ["S", "B", "BX", "BC", "P", "Q", "E"].map(|n| b.nonterminal(n));
+        b.match_rule(s, call, body, ret, end);
+        b.linear_rule(body, '(', body_x);
+        b.linear_rule(body_x, 'x', body_close);
+        b.linear_rule(body_close, ')', end);
+        b.linear_rule(s, '(', plain);
+        b.linear_rule(plain, '(', plain);
+        b.linear_rule(plain, 'x', plain_close);
+        b.linear_rule(plain_close, ')', plain_close);
+        b.empty_rule(plain_close);
+        b.empty_rule(end);
+        let mut tokenizer = PartialTokenizer::new();
+        tokenizer.push_pair(TokenPair {
+            call: TokenMatcher::Literal("(".to_string()),
+            ret: TokenMatcher::Literal(")".to_string()),
+        });
+        let g = CompiledGrammar::assemble(
+            b.build(s).unwrap(),
+            tokenizer,
+            TokenDiscovery::Tokens,
+            CompileOptions::default(),
+        )
+        .unwrap();
+        for input in ["(x)", "((x))", "(x))", "((x)", "x)", "()"] {
+            assert_scans_agree(&g, "ambiguous", input);
+        }
+        assert_eq!(g.converted_word("(x)").as_deref(), Some("(x)"));
+        assert_eq!(g.converted_word("x)"), None);
+    }
+
+    /// Long json and lisp documents (generated members joined into one
+    /// array or list, each with a one-character mutant), among them
+    /// documents whose scan exhausts `MAX_SCAN_CONFIGS`: the budget must run
+    /// out at the same configuration in both scans, and each exhausted
+    /// reject counts one `serve.scan_exhausted`.
+    #[test]
+    fn serving_scan_matches_the_reference_on_budget_exhausting_documents() {
+        let mut exhausted = 0usize;
+        let mut counted_rejects = 0u64;
+        for lang in [&Json::new() as &dyn Language, &Lisp::new()] {
+            let g = compile(lang);
+            let alphabet = lang.alphabet();
+            let mut rng = StdRng::seed_from_u64(0xD0C ^ lang.name().len() as u64);
+            for _ in 0..3 {
+                let mut parts = vec![lang.generate(&mut rng, 24)];
+                while parts.iter().map(String::len).sum::<usize>() < 1600 {
+                    parts.push(lang.generate(&mut rng, 24));
+                }
+                let doc = match lang.name() {
+                    "json" => format!("[{}]", parts.join(",")),
+                    _ => format!("({})", parts.join(" ")),
+                };
+                let mut mutant: Vec<char> = doc.chars().collect();
+                let at = rng.gen_range(0..mutant.len());
+                mutant[at] = alphabet[rng.gen_range(0..alphabet.len())];
+                for s in [doc, mutant.into_iter().collect()] {
+                    assert_scans_agree(&g, lang.name(), &s);
+                    let outcome = g.scan_tokens(&s, false);
+                    // An exhausted reject counts once per call.
+                    let guard = vstar_telemetry::install();
+                    let accepted = g.recognize(&s);
+                    let counted = guard.finish().facts.counter("serve.scan_exhausted");
+                    assert_eq!(counted, u64::from(outcome.exhausted && !accepted), "{s:?}");
+                    exhausted += usize::from(outcome.exhausted);
+                    counted_rejects += counted;
+                }
+            }
+        }
+        assert!(exhausted > 0, "no document exhausted the scan budget");
+        assert!(counted_rejects > 0, "no exhausted scan was counted");
+    }
+}

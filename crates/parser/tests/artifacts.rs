@@ -4,6 +4,8 @@
 //! serving side; a streamed `Session` must give the one-shot verdict on the
 //! same raw bytes, however they are chunked.
 
+mod support;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,22 +39,7 @@ fn round_trip(lang: &dyn Language) {
         lang.name()
     );
 
-    let mut rng = StdRng::seed_from_u64(0xA27 ^ lang.name().len() as u64);
-    let mut corpus: Vec<String> = lang.seeds();
-    corpus.extend(lang.generate_corpus(&mut rng, 18, 60));
-    let alphabet = lang.alphabet();
-    for k in 0..corpus.len() {
-        let s = corpus[k].clone();
-        let mut mutated: Vec<char> = s.chars().collect();
-        if !mutated.is_empty() {
-            let i = (k * 13) % mutated.len();
-            mutated[i] = alphabet[(k * 7) % alphabet.len()];
-            corpus.push(mutated.into_iter().collect());
-        }
-        if s.len() > 1 {
-            corpus.push(s[..s.len() / 2].to_string());
-        }
-    }
+    let corpus = support::corpus(lang);
 
     // The oracle-backed learning-time path, for the agreement check below:
     // the compiled tokenization (takes-if-executable / skips-if-looping) is

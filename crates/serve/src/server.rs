@@ -96,7 +96,9 @@ impl Daemon {
                 let handle = std::thread::spawn(move || {
                     let _ = handle_connection(stream, &shared);
                 });
-                accept_handles.lock().expect("no panics under this lock").push(handle);
+                let mut handles = accept_handles.lock().expect("no panics under this lock");
+                reap_finished(&mut handles);
+                handles.push(handle);
             }
         });
         Ok(Daemon { addr, stop, accept_handle: Some(accept_handle), conn_handles })
@@ -134,6 +136,20 @@ impl Daemon {
 impl Drop for Daemon {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Joins the connection threads that have finished, so the handle list (and
+/// each finished thread's per-thread state) is bounded by the connections
+/// open at once rather than by every connection ever accepted.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -384,5 +400,43 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
             conn.protocol_error();
             Some(format!("-bad-opcode {other:#04x}").into_bytes())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use vstar_parser::CompiledGrammar;
+    use vstar_vpl::grammar::figure1_grammar;
+
+    use super::*;
+    use crate::Client;
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let registry = Arc::new(GrammarRegistry::new());
+        registry.publish("fig1", CompiledGrammar::from_vpg(&figure1_grammar()).unwrap());
+        let (access_log, _) = AccessLog::in_memory();
+        let mut daemon =
+            Daemon::start("127.0.0.1:0", registry, Arc::new(MetricsRegistry::new()), access_log)
+                .unwrap();
+        for i in 0..40 {
+            let mut client = Client::connect(daemon.addr(), &format!("c{i}")).unwrap();
+            assert!(client.recognize("fig1", "cd").unwrap());
+            drop(client);
+            // Wait for the listed threads to see their hang-ups, so the next
+            // accept finds them finished. The accept loop lists a thread just
+            // after starting it, so the newest one may still be unlisted:
+            // the list holds at most the previous connection and this one.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !daemon.conn_handles.lock().unwrap().iter().all(JoinHandle::is_finished) {
+                assert!(Instant::now() < deadline, "connection {i} never finished");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let listed = daemon.conn_handles.lock().unwrap().len();
+            assert!(listed <= 2, "{listed} handles listed after {} connections", i + 1);
+        }
+        daemon.shutdown();
     }
 }
