@@ -11,25 +11,20 @@
 
 use vstar::equivalence::TestPoolConfig;
 use vstar::{Mat, VStar, VStarConfig};
-use vstar_bench::cli::Args;
+use vstar_bench::cli::{language, usage_error, Args};
 use vstar_eval::{f1_score, precision, recall, EvalConfig};
-use vstar_oracles::{language_by_name, Language};
+use vstar_oracles::Language;
 
 const USAGE: &str = "ablation [grammar] [--seed N]";
 
 fn main() {
     let args = Args::parse_or_exit(USAGE, &["seed"], &[]);
     let grammar = args.positionals().first().cloned().unwrap_or_else(|| "lisp".to_string());
-    let Some(lang) = language_by_name(&grammar) else {
-        eprintln!("unknown grammar {grammar:?}; available: json lisp xml while mathexpr");
-        std::process::exit(1);
-    };
+    let lang = language(&grammar).unwrap_or_else(|e| usage_error(USAGE, e));
     let mut eval_config =
         EvalConfig { recall_samples: 120, precision_samples: 120, ..EvalConfig::default() };
-    eval_config.rng_seed = args.seed(eval_config.rng_seed).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    });
+    eval_config.rng_seed =
+        args.seed(eval_config.rng_seed).unwrap_or_else(|e| usage_error(USAGE, e));
 
     println!("== Ablation A: simulated-equivalence test-string budget ({grammar}) ==");
     println!("budget\t#TS\tRecall\tPrecision\tF1\t#Queries");

@@ -44,11 +44,10 @@ use vstar::refine::{RefineConfig, RuleLiveness};
 use vstar_analyze::{
     analyze_passive, congruence_summary, AnalysisReport, Analyze, CongruenceSummary, Severity,
 };
-use vstar_bench::cli::Args;
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
 use vstar_bench::{learn_refined_language, REFINE_MIN_ITERATIONS};
 use vstar_fuzz::surgery::with_crossed_returns;
 use vstar_fuzz::FuzzConfig;
-use vstar_oracles::{language_by_name, table1_languages};
 use vstar_parser::CompileLearned;
 use vstar_passive::{learn_passive, PassiveConfig};
 
@@ -132,28 +131,14 @@ fn main() {
         &["seed", "refine-iterations", "max-campaigns", "budget"],
         &["check", "json"],
     );
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let refine_iterations: usize =
         args.parsed("refine-iterations", DEFAULT_REFINE_ITERATIONS).unwrap_or_else(|e| fail(e));
     let max_campaigns: usize =
         args.parsed("max-campaigns", DEFAULT_MAX_CAMPAIGNS).unwrap_or_else(|e| fail(e));
     let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> =
-        if args.positionals().is_empty() { all_names.clone() } else { args.positionals().to_vec() };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && refine_iterations == DEFAULT_REFINE_ITERATIONS
         && max_campaigns == DEFAULT_MAX_CAMPAIGNS
@@ -171,10 +156,8 @@ fn main() {
     // The first analyzed language doubles as the blindness self-check
     // subject; keep it (and the check's findings) out of the tracked report.
     let mut self_check: Option<(String, AnalysisReport)> = None;
-    for name in &selected {
-        let Some(lang) = language_by_name(name) else {
-            fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")));
-        };
+    for lang in &selection.languages {
+        let name = lang.name();
         eprintln!("learning {name} (refined pipeline) …");
         let refined = learn_refined_language(lang.as_ref(), &loop_config, &refine_config);
         let learned = refined.learned.analyze();
@@ -197,11 +180,11 @@ fn main() {
         if self_check.is_none() {
             if let Some(crossed) = with_crossed_returns(refined.learned.vpg()) {
                 let broken = refined.learned.clone().with_vpg(crossed);
-                self_check = Some((name.clone(), broken.analyze()));
+                self_check = Some((name.to_string(), broken.analyze()));
             }
         }
         grammars.push(GrammarAnalyzeReport {
-            language: name.clone(),
+            language: name.to_string(),
             learned_counts: SeverityCounts::of(&learned),
             learned,
             compiled_counts: SeverityCounts::of(&compiled),
@@ -243,16 +226,7 @@ fn main() {
 
     let bench = AnalyzeBenchReport { seed, refine_iterations, max_campaigns, grammars };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default configuration: {JSON_REPORT_PATH} left untouched");
-    }
+    write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {
         println!("{json}");
     }

@@ -41,9 +41,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
-use vstar_bench::cli::Args;
-use vstar_bench::{learn_learned_language, sample_corpus};
-use vstar_oracles::{language_by_name, table1_languages, CountedLanguage, CountingOracle};
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
+use vstar_bench::{learn_plain, sample_corpus};
+use vstar_oracles::{CountedLanguage, CountingOracle};
 use vstar_parser::CompileLearned;
 use vstar_serve::{AccessLog, Client, Daemon, GrammarRegistry};
 use vstar_telemetry::{Counts, MetricsRegistry};
@@ -139,10 +139,7 @@ fn stream_input(client: &mut Client, input: &str, rng: &mut StdRng) -> bool {
 fn main() {
     let args =
         Args::parse_or_exit(USAGE, &["seed", "clients", "samples", "budget"], &["check", "json"]);
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let clients: usize = args.parsed("clients", DEFAULT_CLIENTS).unwrap_or_else(|e| fail(e));
     let samples: usize = args.parsed("samples", DEFAULT_SAMPLES).unwrap_or_else(|e| fail(e));
@@ -150,18 +147,7 @@ fn main() {
     if clients == 0 {
         fail("--clients must be at least 1".to_string());
     }
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> =
-        if args.positionals().is_empty() { all_names.clone() } else { args.positionals().to_vec() };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && clients == DEFAULT_CLIENTS
         && samples == DEFAULT_SAMPLES
@@ -170,23 +156,17 @@ fn main() {
     // Learn every grammar through its own counting oracle. The oracles stay
     // alive across the serving run: the gate re-reads them afterwards to
     // prove the daemon never touched a membership oracle.
-    let langs: Vec<Box<dyn vstar_oracles::Language>> = selected
-        .iter()
-        .map(|name| {
-            language_by_name(name).unwrap_or_else(|| {
-                fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")))
-            })
-        })
-        .collect();
+    let langs = &selection.languages;
     let oracles: Vec<CountingOracle<'_>> =
         langs.iter().map(|l| CountingOracle::new(|s: &str| l.accepts(s))).collect();
 
     let registry = Arc::new(GrammarRegistry::new());
     let mut plans: Vec<Plan> = Vec::new();
-    for ((name, lang), oracle) in selected.iter().zip(&langs).zip(&oracles) {
+    for (lang, oracle) in langs.iter().zip(&oracles) {
+        let name = lang.name();
         eprintln!("learning {name} …");
         let counted = CountedLanguage::new(lang.as_ref(), oracle);
-        let learned = learn_learned_language(&counted);
+        let learned = learn_plain(&counted).as_learned_language();
         let learn_unique_queries = oracle.unique_queries();
         let compiled = learned.compile().expect("learned grammars compile");
 
@@ -199,7 +179,7 @@ fn main() {
         let stats = compiled.stats();
         registry.publish(name, compiled);
         plans.push(Plan {
-            name: name.clone(),
+            name: name.to_string(),
             raws,
             raw_expect,
             artifact_json,
@@ -378,16 +358,7 @@ fn main() {
         reload_records,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default configuration: {JSON_REPORT_PATH} left untouched");
-    }
+    write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {
         println!("{json}");
     }
@@ -426,12 +397,12 @@ fn main() {
 
         // The serve path is oracle-free: not one membership query since
         // learning finished.
-        for ((name, oracle), &after_learn) in
-            selected.iter().zip(&oracles).zip(&queries_after_learning)
+        for ((plan, oracle), &after_learn) in
+            plans.iter().zip(&oracles).zip(&queries_after_learning)
         {
             check(
                 oracle.unique_queries() == after_learn && oracle.total_queries() >= after_learn,
-                &format!("{name}: the serving run touched the membership oracle"),
+                &format!("{}: the serving run touched the membership oracle", plan.name),
             );
         }
 

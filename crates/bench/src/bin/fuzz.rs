@@ -14,7 +14,7 @@
 //! ```text
 //! cargo run --release -p vstar_bench --bin fuzz -- \
 //!     [grammar ...] [--seed N] [--iterations N] [--budget N] \
-//!     [--corpus DIR] [--unrefined] [--check] [--json]
+//!     [--corpus DIR] [--check] [--json]
 //! ```
 //!
 //! Defaults: all five grammars (json lisp xml while mathexpr), `--seed 42`,
@@ -22,30 +22,23 @@
 //! deterministic: the same seed produces a byte-identical `BENCH_fuzz.json`
 //! and corpus tree. `BENCH_fuzz.json` is only written when the run covers all
 //! five grammars *at the default configuration*, so partial or overridden
-//! runs (including CI's `--iterations 150 --check` smoke and `--unrefined`
-//! runs) never clobber the tracked report.
-//!
-//! `--unrefined` skips the refinement loop and fuzzes the plain pipeline's
-//! grammars — the pre-refinement trajectory `BENCH_refine.json` tracks.
+//! runs (including CI's `--iterations 150 --check` smoke) never clobber the
+//! tracked report. Campaigns over the plain pipeline's grammars are the
+//! `pre` rows of the `refine` binary's `BENCH_refine.json`.
 //!
 //! `--check` turns the run into the CI smoke gate: the process exits nonzero
-//! when any campaign reports a divergence class that the known accuracy of
-//! the learner does not predict (see
-//! `vstar_bench::allowed_divergence_classes`; since refinement, *no* class is
-//! allowed anywhere). The in-loop refinement campaigns run at the same seed
-//! and at least `REFINE_MIN_ITERATIONS` iterations, so a fixed point
-//! certifies the gate campaign clean by prefix determinism.
+//! when any campaign reports a divergence (see
+//! `vstar_bench::unexpected_divergence_classes`: since refinement, *no*
+//! class is allowed anywhere). The in-loop refinement campaigns run at the
+//! same seed and at least `REFINE_MIN_ITERATIONS` iterations, so a fixed
+//! point certifies the gate campaign clean by prefix determinism.
 
 use serde::Serialize;
 
 use vstar::refine::RefineConfig;
-use vstar_bench::cli::Args;
-use vstar_bench::{
-    learn_learned_language, learn_refined_language, unexpected_divergence_classes,
-    REFINE_MIN_ITERATIONS,
-};
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
+use vstar_bench::{learn_refined_language, unexpected_divergence_classes, REFINE_MIN_ITERATIONS};
 use vstar_fuzz::{corpus::write_corpus, CampaignReport, FuzzCampaign, FuzzConfig};
-use vstar_oracles::{language_by_name, table1_languages};
 
 /// File the machine-readable report is written to (current directory). Only
 /// a full-grammar-set run at exactly the default seed/iterations/budget
@@ -62,7 +55,7 @@ const DEFAULT_ITERATIONS: usize = 300;
 const DEFAULT_BUDGET: usize = 24;
 
 const USAGE: &str = "fuzz [grammar ...] [--seed N] [--iterations N] [--budget N] \
-                     [--corpus DIR] [--unrefined] [--check] [--json]";
+                     [--corpus DIR] [--check] [--json]";
 
 /// The tracked machine-readable summary: configuration plus one report per
 /// campaign. Deliberately contains no wall-clock fields so that reruns with
@@ -75,40 +68,20 @@ struct FuzzBenchReport {
 }
 
 fn main() {
-    let args = Args::parse_or_exit(
-        USAGE,
-        &["seed", "iterations", "budget", "corpus"],
-        &["unrefined", "check", "json"],
-    );
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let args =
+        Args::parse_or_exit(USAGE, &["seed", "iterations", "budget", "corpus"], &["check", "json"]);
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let iterations: usize =
         args.parsed("iterations", DEFAULT_ITERATIONS).unwrap_or_else(|e| fail(e));
     let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let corpus_dir = args.value("corpus").unwrap_or("FUZZ_corpus").to_string();
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> =
-        if args.positionals().is_empty() { all_names.clone() } else { args.positionals().to_vec() };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     // The committed report is generated at exactly the default configuration;
     // any override (e.g. CI's `--iterations 150 --check` smoke) must not
     // clobber it with numbers from a different budget.
-    let unrefined = args.switch("unrefined");
-    let tracked_config = seed == DEFAULT_SEED
-        && iterations == DEFAULT_ITERATIONS
-        && budget == DEFAULT_BUDGET
-        && !unrefined;
+    let tracked_config =
+        seed == DEFAULT_SEED && iterations == DEFAULT_ITERATIONS && budget == DEFAULT_BUDGET;
 
     // Refinement fuzzes in-loop with the same seed/budget but at least the
     // iteration floor, so its fixed point certifies the campaign below.
@@ -120,32 +93,22 @@ fn main() {
     };
     let config = FuzzConfig { seed, iterations, sample_budget: budget, ..FuzzConfig::default() };
     let mut campaigns: Vec<CampaignReport> = Vec::new();
-    for name in &selected {
-        let Some(lang) = language_by_name(name) else {
-            fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")));
-        };
-        let learned = if unrefined {
-            eprintln!("learning {name} (unrefined) …");
-            learn_learned_language(lang.as_ref())
-        } else {
-            eprintln!("learning {name} (with counterexample-guided refinement) …");
-            let refined =
-                learn_refined_language(lang.as_ref(), &loop_config, &RefineConfig::default());
-            eprintln!(
-                "refined {name}: {} campaign(s), {} counterexample(s) replayed",
-                refined.log.campaigns_run,
-                refined.log.counterexamples_replayed()
-            );
-            if refined.log.budget_exhausted {
-                // Without a fixed point the prefix-determinism certification
-                // does not apply; the gate campaign below still judges the
-                // grammar empirically, but make the weaker guarantee visible.
-                eprintln!(
-                    "note {name}: refinement stopped on the campaign budget, not a fixed point"
-                );
-            }
-            refined.learned
-        };
+    for lang in &selection.languages {
+        let name = lang.name();
+        eprintln!("learning {name} (with counterexample-guided refinement) …");
+        let refined = learn_refined_language(lang.as_ref(), &loop_config, &RefineConfig::default());
+        eprintln!(
+            "refined {name}: {} campaign(s), {} counterexample(s) replayed",
+            refined.log.campaigns_run,
+            refined.log.counterexamples_replayed()
+        );
+        if refined.log.budget_exhausted {
+            // Without a fixed point the prefix-determinism certification
+            // does not apply; the gate campaign below still judges the
+            // grammar empirically, but make the weaker guarantee visible.
+            eprintln!("note {name}: refinement stopped on the campaign budget, not a fixed point");
+        }
+        let learned = refined.learned;
         eprintln!(
             "fuzzing {name}: {} rules, {iterations} iterations, seed {seed}",
             learned.vpg().rule_count()
@@ -180,16 +143,7 @@ fn main() {
 
     let bench = FuzzBenchReport { seed, iterations, campaigns };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default seed/iterations/budget: {JSON_REPORT_PATH} left untouched");
-    }
+    write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {
         println!("{json}");
     }

@@ -33,10 +33,10 @@ use serde::Serialize;
 
 use vstar::refine::CorpusEvidence;
 use vstar::{Mat, RefineConfig, VStar, VStarConfig};
-use vstar_bench::cli::Args;
-use vstar_bench::{default_eval_config, repair_learned_language};
-use vstar_eval::{measure_vstar_accuracy, recall_dataset};
-use vstar_oracles::{language_by_name, table1_languages, CountingOracle};
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
+use vstar_bench::{learn_plain, repair_learned_language};
+use vstar_eval::{measure_vstar_accuracy, recall_dataset, EvalConfig};
+use vstar_oracles::CountingOracle;
 use vstar_parser::GrammarSampler;
 use vstar_passive::{learn_hybrid, learn_passive, HybridConfig, PassiveConfig};
 
@@ -135,10 +135,7 @@ struct PassiveBenchReport {
 
 fn main() {
     let args = Args::parse_or_exit(USAGE, &["seed", "corpus-size", "budget"], &["check", "json"]);
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let corpus_size: usize =
         args.parsed("corpus-size", DEFAULT_CORPUS_SIZE).unwrap_or_else(|e| fail(e));
@@ -146,30 +143,17 @@ fn main() {
     if corpus_size == 0 {
         fail("--corpus-size must be positive".into());
     }
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> =
-        if args.positionals().is_empty() { all_names.clone() } else { args.positionals().to_vec() };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config =
         seed == DEFAULT_SEED && corpus_size == DEFAULT_CORPUS_SIZE && budget == DEFAULT_BUDGET;
 
     let mut sizes: Vec<usize> = CURVE_SIZES.iter().copied().filter(|&n| n < corpus_size).collect();
     sizes.push(corpus_size);
-    let eval = default_eval_config();
+    let eval = EvalConfig::default();
 
     let mut grammars: Vec<GrammarPassiveReport> = Vec::new();
-    for name in &selected {
-        let Some(lang) = language_by_name(name) else {
-            fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")));
-        };
+    for lang in &selection.languages {
+        let name = lang.name();
         let eval_corpus = recall_dataset(lang.as_ref(), &eval);
 
         // (1) Pure passive: learning curve over nested corpora.
@@ -277,11 +261,7 @@ fn main() {
 
         // (3) Re-inference repair over a plain base run.
         eprintln!("repair {name}: plain base run + corpus-driven re-inference …");
-        let base_oracle = |s: &str| lang.accepts(s);
-        let base_mat = Mat::new(&base_oracle);
-        let base = VStar::new(eval.vstar.clone())
-            .learn(&base_mat, &lang.alphabet(), &lang.seeds())
-            .expect("plain base run succeeds");
+        let base = learn_plain(lang.as_ref());
         let run = repair_learned_language(lang.as_ref(), &base, &eval);
         let repair = match &run.repaired {
             Some(r) => RepairSummary {
@@ -312,7 +292,7 @@ fn main() {
             if repair.applied { "repair applied" } else { "nothing to repair" }
         );
 
-        grammars.push(GrammarPassiveReport { language: name.clone(), curve, hybrid, repair });
+        grammars.push(GrammarPassiveReport { language: name.to_string(), curve, hybrid, repair });
     }
 
     println!("Passive & hybrid corpus-driven learning (seed {seed}, corpus {corpus_size})");
@@ -335,16 +315,7 @@ fn main() {
 
     let bench = PassiveBenchReport { seed, budget, corpus_sizes: sizes.clone(), grammars };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default configuration: {JSON_REPORT_PATH} left untouched");
-    }
+    write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {
         println!("{json}");
     }
@@ -403,7 +374,7 @@ fn main() {
         }
         // (b) The hybrid warm start must save queries on a majority of the
         // grammars (only meaningful over the full set).
-        if full_set {
+        if selection.full_set {
             let winners: Vec<&str> = bench
                 .grammars
                 .iter()

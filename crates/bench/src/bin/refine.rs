@@ -31,14 +31,13 @@
 use serde::Serialize;
 
 use vstar::refine::{RefineConfig, RefineLog};
-use vstar_bench::cli::Args;
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
 use vstar_bench::{
-    default_eval_config, learn_learned_language, learn_refined_language, repair_learned_language,
-    REFINE_MIN_ITERATIONS,
+    learn_plain, learn_refined_language, repair_learned_language, REFINE_MIN_ITERATIONS,
 };
-use vstar_eval::DifferentialCounts;
+use vstar_eval::{DifferentialCounts, EvalConfig};
 use vstar_fuzz::{CampaignReport, FuzzCampaign, FuzzConfig};
-use vstar_oracles::{language_by_name, table1_languages, CountedLanguage, CountingOracle};
+use vstar_oracles::{CountedLanguage, CountingOracle};
 
 /// File the machine-readable report is written to (current directory).
 const JSON_REPORT_PATH: &str = "BENCH_refine.json";
@@ -134,10 +133,7 @@ fn main() {
         &["seed", "iterations", "refine-iterations", "max-campaigns", "budget"],
         &["check", "json"],
     );
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let iterations: usize =
         args.parsed("iterations", DEFAULT_ITERATIONS).unwrap_or_else(|e| fail(e));
@@ -146,18 +142,7 @@ fn main() {
     let max_campaigns: usize =
         args.parsed("max-campaigns", DEFAULT_MAX_CAMPAIGNS).unwrap_or_else(|e| fail(e));
     let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> =
-        if args.positionals().is_empty() { all_names.clone() } else { args.positionals().to_vec() };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && iterations == DEFAULT_ITERATIONS
         && refine_iterations == DEFAULT_REFINE_ITERATIONS
@@ -178,10 +163,8 @@ fn main() {
     let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
 
     let mut grammars: Vec<GrammarRefineReport> = Vec::new();
-    for name in &selected {
-        let Some(lang) = language_by_name(name) else {
-            fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")));
-        };
+    for lang in &selection.languages {
+        let name = lang.name();
         // Route every membership query of the run — learning, in-loop
         // campaigns, gate campaigns — through one shared CountingOracle under
         // an installed telemetry collector, so the per-round query/cache
@@ -192,7 +175,7 @@ fn main() {
         let counting = CountingOracle::new(|s: &str| lang.accepts(s));
         let counted = CountedLanguage::new(lang.as_ref(), &counting);
         eprintln!("learning {name} (plain pipeline) …");
-        let base = learn_learned_language(&counted);
+        let base = learn_plain(&counted).as_learned_language();
         let pre = FuzzCampaign::new(&base, &counted, gate_config.clone()).run();
         eprintln!(
             "refining {name}: pre campaign found {} divergent case(s) in {} iterations",
@@ -207,7 +190,7 @@ fn main() {
         // own distribution — each catches gaps the other misses. Runs against
         // the raw oracle so the telemetry snapshots above stay comparable.
         eprintln!("repairing {name}: diffing against the repair corpus …");
-        let run = repair_learned_language(lang.as_ref(), &refined.result, &default_eval_config());
+        let run = repair_learned_language(lang.as_ref(), &refined.result, &EvalConfig::default());
         let repair = match &run.repaired {
             Some(r) => RepairSummary {
                 applied: true,
@@ -239,7 +222,7 @@ fn main() {
             post.counts.divergences()
         );
         grammars.push(GrammarRefineReport {
-            language: name.clone(),
+            language: name.to_string(),
             pre: CampaignSummary::of(&pre),
             refine: refined.log,
             post: CampaignSummary::of(&post),
@@ -281,16 +264,7 @@ fn main() {
         grammars,
     };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default configuration: {JSON_REPORT_PATH} left untouched");
-    }
+    write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {
         println!("{json}");
     }

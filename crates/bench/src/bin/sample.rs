@@ -1,8 +1,10 @@
 //! Samples strings from a learned grammar: learns one of the bundled oracle
 //! languages with V-Star, then draws sentences from the extracted VPG with the
 //! `vstar_parser` grammar sampler. Every printed string is round-tripped
-//! through the derivative parser (sample → parse → accept) before printing, so
-//! the output is a ready-to-use precision/fuzzing corpus of raw oracle inputs.
+//! through the derivative parser (sample → parse → accept) and through the
+//! compiled artifact's raw-input conversion (strip → convert gives the sample
+//! back) before printing, so the output is a ready-to-use precision/fuzzing
+//! corpus of raw oracle inputs.
 //!
 //! Usage:
 //!
@@ -14,36 +16,27 @@
 //! where `<grammar>` is one of json, lisp, xml, while, mathexpr (defaults:
 //! `--count 20`, `--budget 24`, `--seed 1`).
 
-use vstar::{tokenizer::strip_markers, Mat, VStar, VStarConfig};
-use vstar_bench::cli::Args;
-use vstar_oracles::language_by_name;
-use vstar_parser::{GrammarSampler, VpgParser};
+use vstar::tokenizer::strip_markers;
+use vstar_bench::cli::{language, usage_error, Args};
+use vstar_bench::learn_plain;
+use vstar_parser::{CompileLearned, GrammarSampler, VpgParser};
 
-const USAGE: &str = "sample <grammar> [--count N] [--budget N] [--seed N]";
+const USAGE: &str = "sample <json|lisp|xml|while|mathexpr> [--count N] [--budget N] [--seed N]";
 
 fn main() {
     let args = Args::parse_or_exit(USAGE, &["count", "budget", "seed"], &[]);
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}\ngrammars: json lisp xml while mathexpr");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let Some(name) = args.positionals().first() else {
         fail("missing <grammar>".to_string());
     };
+    let lang = language(name).unwrap_or_else(|e| fail(e));
     let count: usize = args.parsed("count", 20).unwrap_or_else(|e| fail(e));
     let budget: usize = args.parsed("budget", 24).unwrap_or_else(|e| fail(e));
     let seed = args.seed(1).unwrap_or_else(|e| fail(e));
     let mut rng = args.seeded_rng(1).unwrap_or_else(|e| fail(e));
 
-    let Some(lang) = language_by_name(name) else {
-        fail(format!("unknown grammar {name:?}"));
-    };
-
-    let oracle = |s: &str| lang.accepts(s);
-    let mat = Mat::new(&oracle);
-    let result = VStar::new(VStarConfig::default())
-        .learn(&mat, &lang.alphabet(), &lang.seeds())
-        .expect("learning the bundled grammars succeeds");
+    let result = learn_plain(lang.as_ref());
+    let compiled = result.compile().expect("learned grammars compile");
     eprintln!(
         "learned {} ({} states, {} nonterminals, {} unique queries)",
         lang.name(),
@@ -69,7 +62,9 @@ fn main() {
         // Keep only words that correspond to raw strings of the learned
         // language (fixed points of conv ∘ strip), then print the raw form.
         let raw = strip_markers(&word);
-        if result.tokenizer.convert(&mat, &raw) != word || !seen.insert(raw.clone()) {
+        if compiled.converted_word(&raw).as_deref() != Some(word.as_str())
+            || !seen.insert(raw.clone())
+        {
             continue;
         }
         println!("{raw}");

@@ -36,9 +36,8 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use vstar_bench::cli::Args;
-use vstar_bench::{learn_learned_language, sample_corpus};
-use vstar_oracles::{language_by_name, table1_languages};
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
+use vstar_bench::{learn_plain, sample_corpus};
 use vstar_parser::{CompileLearned, CompiledGrammar, VpgParser};
 
 const JSON_REPORT_PATH: &str = "BENCH_serve.json";
@@ -97,26 +96,12 @@ struct ServeBenchReport {
 fn main() {
     let args =
         Args::parse_or_exit(USAGE, &["seed", "samples", "budget", "passes"], &["check", "json"]);
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let samples: usize = args.parsed("samples", DEFAULT_SAMPLES).unwrap_or_else(|e| fail(e));
     let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let passes: usize = args.parsed("passes", DEFAULT_PASSES).unwrap_or_else(|e| fail(e));
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> =
-        if args.positionals().is_empty() { all_names.clone() } else { args.positionals().to_vec() };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && samples == DEFAULT_SAMPLES
         && budget == DEFAULT_BUDGET
@@ -126,12 +111,10 @@ fn main() {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let mut rows = Vec::new();
     let mut check_failed = false;
-    for name in &selected {
-        let Some(lang) = language_by_name(name) else {
-            fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")));
-        };
+    for lang in &selection.languages {
+        let name = lang.name();
         eprintln!("learning {name} …");
-        let learned = learn_learned_language(lang.as_ref());
+        let learned = learn_plain(lang.as_ref()).as_learned_language();
         let compiled = learned.compile().expect("learned grammars compile");
         let parser = VpgParser::new(learned.vpg());
 
@@ -212,7 +195,7 @@ fn main() {
         let batch_cps = (raw_chars * passes) as f64 / batch_elapsed.max(1e-9);
 
         rows.push(ServeRow {
-            grammar: name.clone(),
+            grammar: name.to_string(),
             corpus_words: words.len(),
             corpus_chars,
             accepted_words,
@@ -251,16 +234,7 @@ fn main() {
 
     let report = ServeBenchReport { seed, samples, budget, passes, threads, rows };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default configuration: {JSON_REPORT_PATH} left untouched");
-    }
+    write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {
         println!("{json}");
     }

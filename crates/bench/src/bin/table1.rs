@@ -18,10 +18,9 @@
 //! file untouched. All numbers except the wall-clock `time_seconds` fields are
 //! deterministic for a fixed seed.
 
-use vstar_bench::cli::Args;
-use vstar_bench::{
-    attach_refined_vstar_metrics, default_eval_config, run_table1, REFINE_MIN_ITERATIONS,
-};
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
+use vstar_bench::{attach_refined_vstar_metrics, run_table1, REFINE_MIN_ITERATIONS};
+use vstar_eval::EvalConfig;
 
 /// File the machine-readable report is written to (current directory).
 const JSON_REPORT_PATH: &str = "BENCH_table1.json";
@@ -30,19 +29,15 @@ const USAGE: &str = "table1 [glade|arvada|vstar ...] [--seed N] [--json]";
 
 fn main() {
     let args = Args::parse_or_exit(USAGE, &["seed"], &["json"]);
-    let mut config = default_eval_config();
+    let mut config = EvalConfig::default();
     let tracked_seed = config.rng_seed;
-    config.rng_seed = args.seed(tracked_seed).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    });
+    config.rng_seed = args.seed(tracked_seed).unwrap_or_else(|e| usage_error(USAGE, e));
     // Reject unknown tool names: a typo must not silently select "all tools"
     // and overwrite the committed full report with an unintended run.
     if let Some(bad) =
         args.positionals().iter().find(|a| !["glade", "arvada", "vstar"].contains(&a.as_str()))
     {
-        eprintln!("unknown tool {bad:?}\nusage: {USAGE}");
-        std::process::exit(2);
+        usage_error(USAGE, format!("unknown tool {bad:?}"));
     }
     let tools: Vec<&str> = args.positionals().iter().map(String::as_str).collect();
     let mut report = run_table1(&config, &tools);
@@ -70,18 +65,13 @@ fn main() {
     );
     println!();
     print!("{report}");
-    if tools.is_empty() && config.rng_seed == tracked_seed {
-        match std::fs::write(JSON_REPORT_PATH, report.to_json()) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
-        }
-    } else if !tools.is_empty() {
-        // Partial runs must not clobber the committed full-trajectory report.
-        println!("partial tool selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default seed: {JSON_REPORT_PATH} left untouched");
-    }
+    let json = report.to_json();
+    write_tracked_report(
+        &[(JSON_REPORT_PATH, &json)],
+        tools.is_empty(),
+        config.rng_seed == tracked_seed,
+    );
     if args.switch("json") {
-        println!("{}", report.to_json());
+        println!("{json}");
     }
 }

@@ -17,12 +17,11 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin trace -- \
-//!     [grammar ...] [--lang NAME] [--seed N] [--iterations N] [--refine-iterations N] \
+//!     [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] \
 //!     [--max-campaigns N] [--budget N] [--serve-samples N] [--check] [--json]
 //! ```
 //!
-//! Defaults: all five grammars (`--lang NAME` traces exactly one; it cannot
-//! be combined with positional grammar names), `--seed 42`, `--iterations 150` (the gate
+//! Defaults: all five grammars, `--seed 42`, `--iterations 150` (the gate
 //! campaign), `--refine-iterations 300`, `--max-campaigns 40`, `--budget 24`,
 //! `--serve-samples 120`. A full-set run at the default configuration
 //! rewrites the tracked `BENCH_trace.json` (deterministic facts: counters,
@@ -42,10 +41,10 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use vstar::refine::RefineConfig;
-use vstar_bench::cli::Args;
-use vstar_bench::REFINE_MIN_ITERATIONS;
-use vstar_fuzz::{CampaignEvidence, FuzzCampaign, FuzzConfig};
-use vstar_oracles::{language_by_name, table1_languages, CountedLanguage, CountingOracle};
+use vstar_bench::cli::{usage_error, write_tracked_report, Args};
+use vstar_bench::{learn_refined_language, REFINE_MIN_ITERATIONS};
+use vstar_fuzz::{FuzzCampaign, FuzzConfig};
+use vstar_oracles::{CountedLanguage, CountingOracle};
 use vstar_parser::{CompileLearned, GrammarSampler};
 use vstar_telemetry::{DeterministicFacts, SpanFacts};
 
@@ -66,9 +65,8 @@ const DEFAULT_SERVE_SAMPLES: usize = 120;
 /// Size budget of serving-corpus samples.
 const SERVE_SAMPLE_BUDGET: usize = 40;
 
-const USAGE: &str = "trace [grammar ...] [--lang NAME] [--seed N] [--iterations N] \
-                     [--refine-iterations N] [--max-campaigns N] [--budget N] [--serve-samples N] \
-                     [--check] [--json]";
+const USAGE: &str = "trace [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] \
+                     [--max-campaigns N] [--budget N] [--serve-samples N] [--check] [--json]";
 
 /// One row of the per-phase query-budget profile: the membership queries a
 /// span itself issued (children excluded — rows partition the grand total).
@@ -143,21 +141,10 @@ fn phase_profile(root: &SpanFacts) -> Vec<PhaseRow> {
 fn main() {
     let args = Args::parse_or_exit(
         USAGE,
-        &[
-            "lang",
-            "seed",
-            "iterations",
-            "refine-iterations",
-            "max-campaigns",
-            "budget",
-            "serve-samples",
-        ],
+        &["seed", "iterations", "refine-iterations", "max-campaigns", "budget", "serve-samples"],
         &["check", "json"],
     );
-    let fail = |e: String| -> ! {
-        eprintln!("{e}\nusage: {USAGE}");
-        std::process::exit(2);
-    };
+    let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let iterations: usize =
         args.parsed("iterations", DEFAULT_ITERATIONS).unwrap_or_else(|e| fail(e));
@@ -168,24 +155,7 @@ fn main() {
     let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let serve_samples: usize =
         args.parsed("serve-samples", DEFAULT_SERVE_SAMPLES).unwrap_or_else(|e| fail(e));
-
-    let all_names: Vec<String> = table1_languages().iter().map(|l| l.name().to_string()).collect();
-    let selected: Vec<String> = match args.value("lang") {
-        Some(lang) if !args.positionals().is_empty() => {
-            fail(format!("--lang {lang:?} cannot be combined with positional grammar names"))
-        }
-        Some(lang) => vec![lang.to_string()],
-        None if args.positionals().is_empty() => all_names.clone(),
-        None => args.positionals().to_vec(),
-    };
-    let full_set = {
-        let mut sorted = selected.clone();
-        sorted.sort();
-        sorted.dedup();
-        let mut all_sorted = all_names.clone();
-        all_sorted.sort();
-        sorted == all_sorted
-    };
+    let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && iterations == DEFAULT_ITERATIONS
         && refine_iterations == DEFAULT_REFINE_ITERATIONS
@@ -204,12 +174,10 @@ fn main() {
     let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
 
     let mut rows: Vec<TraceRow> = Vec::new();
-    let mut journal_sections: Vec<(String, Vec<String>)> = Vec::new();
-    let mut timing_sections: Vec<(String, vstar_telemetry::Timings)> = Vec::new();
-    for name in &selected {
-        let Some(lang) = language_by_name(name) else {
-            fail(format!("unknown grammar {name:?}; grammars: {}", all_names.join(" ")));
-        };
+    let mut journal_sections: Vec<(&str, Vec<String>)> = Vec::new();
+    let mut timing_sections: Vec<(&str, vstar_telemetry::Timings)> = Vec::new();
+    for lang in &selection.languages {
+        let name = lang.name();
         eprintln!("tracing {name}: learn → refine → fuzz → serve under instrumentation …");
 
         // One shared counting oracle serves every membership answer of the
@@ -223,20 +191,7 @@ fn main() {
 
         // Learn phase (the pipeline opens the `learn` span; refinement's
         // evidence campaigns nest under `pool-equivalence`).
-        let oracle_fn = |s: &str| counting.member(s);
-        let mat = vstar::Mat::new(&oracle_fn);
-        let mut source = CampaignEvidence::new(&counted, loop_config.clone())
-            .with_seed_window(refine_config.clean_passes as u64);
-        let (result, _log) = vstar::VStar::new(vstar::VStarConfig::default())
-            .learn_refined(
-                &mat,
-                &lang.alphabet(),
-                &lang.seeds(),
-                &mut source,
-                refine_config.clone(),
-            )
-            .expect("refined learning of the bundled grammars succeeds");
-        let learned = result.as_learned_language();
+        let learned = learn_refined_language(&counted, &loop_config, &refine_config).learned;
 
         // Fuzz phase: the post-refinement gate campaign (opens the
         // top-level `fuzz-campaign` span).
@@ -282,7 +237,7 @@ fn main() {
         );
 
         rows.push(TraceRow {
-            language: name.clone(),
+            language: name.to_string(),
             oracle_unique_queries: counting.unique_queries(),
             oracle_total_queries: counting.total_queries(),
             oracle_cache_hits: counting.cache_hits(),
@@ -292,8 +247,8 @@ fn main() {
             journal_dropped,
             facts,
         });
-        journal_sections.push((name.clone(), journal_lines));
-        timing_sections.push((name.clone(), report.timings));
+        journal_sections.push((name, journal_lines));
+        timing_sections.push((name, report.timings));
     }
 
     // The headline: the per-phase query-budget profile ("where did 550K
@@ -362,28 +317,19 @@ fn main() {
         rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    if full_set && tracked_config {
-        match std::fs::write(JSON_REPORT_PATH, &json) {
-            Ok(()) => println!("wrote {JSON_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JSON_REPORT_PATH}: {e}"),
+    let mut journal_doc = String::new();
+    for (name, lines) in &journal_sections {
+        journal_doc.push_str(&format!("{{\"language\":{:?}}}\n", name));
+        for line in lines {
+            journal_doc.push_str(line);
+            journal_doc.push('\n');
         }
-        let mut journal_doc = String::new();
-        for (name, lines) in &journal_sections {
-            journal_doc.push_str(&format!("{{\"language\":{:?}}}\n", name));
-            for line in lines {
-                journal_doc.push_str(line);
-                journal_doc.push('\n');
-            }
-        }
-        match std::fs::write(JOURNAL_REPORT_PATH, &journal_doc) {
-            Ok(()) => println!("wrote {JOURNAL_REPORT_PATH}"),
-            Err(e) => eprintln!("could not write {JOURNAL_REPORT_PATH}: {e}"),
-        }
-    } else if !full_set {
-        println!("partial grammar selection: {JSON_REPORT_PATH} left untouched");
-    } else {
-        println!("non-default configuration: {JSON_REPORT_PATH} left untouched");
     }
+    write_tracked_report(
+        &[(JSON_REPORT_PATH, &json), (JOURNAL_REPORT_PATH, &journal_doc)],
+        selection.full_set,
+        tracked_config,
+    );
     if args.switch("json") {
         println!("{json}");
     }

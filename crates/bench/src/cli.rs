@@ -1,12 +1,14 @@
 //! Shared command-line conventions for the bench binaries.
 //!
-//! Every binary in this crate (`table1`, `sample`, `ablation`, `fuzz`) takes
-//! the same flag shapes — in particular `--seed N` for the run's RNG seed — so
-//! the parsing lives here once instead of being hand-rolled per binary.
+//! Every binary in this crate takes the same flag shapes — in particular
+//! `--seed N` for the run's RNG seed — selects its Table-1 languages the same
+//! way ([`Args::languages`]) and guards its tracked `BENCH_*` report the same
+//! way ([`write_tracked_report`]), so all of it lives here once instead of
+//! being hand-rolled per binary.
 //!
 //! Grammar: `--name value`, `--name=value`, bare `--name` switches, and plain
-//! positionals. Which `--name`s expect a value is declared by the caller;
-//! every other `--…` argument is a switch.
+//! positionals. Which `--name`s expect a value and which are switches is
+//! declared by the caller; any other `--…` argument is an error.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Display;
@@ -14,6 +16,7 @@ use std::str::FromStr;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vstar_oracles::{language_by_name, table1_languages, Language};
 
 /// Parsed command-line arguments.
 #[derive(Clone, Debug, Default)]
@@ -76,13 +79,8 @@ impl Args {
     /// given usage line on malformed input (the shared `main()` preamble).
     #[must_use]
     pub fn parse_or_exit(usage: &str, value_flags: &[&str], switch_flags: &[&str]) -> Args {
-        match Args::parse(std::env::args().skip(1), value_flags, switch_flags) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("{e}\nusage: {usage}");
-                std::process::exit(2);
-            }
-        }
+        Args::parse(std::env::args().skip(1), value_flags, switch_flags)
+            .unwrap_or_else(|e| usage_error(usage, e))
     }
 
     /// The raw value of `--name`, if given.
@@ -135,6 +133,75 @@ impl Args {
     pub fn seeded_rng(&self, default: u64) -> Result<StdRng, String> {
         Ok(StdRng::seed_from_u64(self.seed(default)?))
     }
+
+    /// The Table-1 languages named by the positionals, or all five when
+    /// none is given.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`language`] error for the first positional that names
+    /// no Table-1 language.
+    pub fn languages(&self) -> Result<Selection, String> {
+        if self.positionals.is_empty() {
+            return Ok(Selection { languages: table1_languages(), full_set: true });
+        }
+        let languages =
+            self.positionals.iter().map(|n| language(n)).collect::<Result<Vec<_>, _>>()?;
+        let selected: BTreeSet<&str> = languages.iter().map(|l| l.name()).collect();
+        let full_set = table1_languages().iter().all(|l| selected.contains(l.name()));
+        Ok(Selection { languages, full_set })
+    }
+}
+
+/// Prints `error` with the usage line and exits with status 2 (the shared
+/// handling of every malformed invocation).
+pub fn usage_error(usage: &str, error: impl Display) -> ! {
+    eprintln!("{error}\nusage: {usage}");
+    std::process::exit(2);
+}
+
+/// The Table-1 languages a bench run covers.
+pub struct Selection {
+    /// The selected languages, in the order they were named (duplicates kept).
+    pub languages: Vec<Box<dyn Language>>,
+    /// Whether every Table-1 language is selected — with order and
+    /// duplicates ignored — so the run may rewrite its tracked report.
+    pub full_set: bool,
+}
+
+/// Resolves one Table-1 language by name.
+///
+/// # Errors
+///
+/// Returns `unknown grammar "NAME"; grammars: json lisp xml while mathexpr`.
+pub fn language(name: &str) -> Result<Box<dyn Language>, String> {
+    language_by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = table1_languages().iter().map(|l| l.name()).collect();
+        format!("unknown grammar {name:?}; grammars: {}", names.join(" "))
+    })
+}
+
+/// Writes each `(path, contents)` report file when the run is the tracked
+/// one — a full selection at the default configuration — and otherwise
+/// prints why the files were left untouched, so partial and ad-hoc runs
+/// never clobber the committed numbers.
+pub fn write_tracked_report(files: &[(&str, &str)], full_set: bool, tracked_config: bool) {
+    let why = match (full_set, tracked_config) {
+        (true, true) => {
+            for (path, contents) in files {
+                match std::fs::write(path, contents) {
+                    Ok(()) => println!("wrote {path}"),
+                    Err(e) => eprintln!("could not write {path}: {e}"),
+                }
+            }
+            return;
+        }
+        (false, _) => "partial selection",
+        (true, false) => "non-default configuration",
+    };
+    for (path, _) in files {
+        println!("{why}: {path} left untouched");
+    }
 }
 
 #[cfg(test)]
@@ -176,5 +243,41 @@ mod tests {
             Args::parse(strings(&["--sed", "5"]), &["seed"], &["check"]).unwrap_err(),
             "unknown flag --sed"
         );
+    }
+
+    fn select(args: &[&str]) -> Result<Selection, String> {
+        Args::parse(strings(args), &["seed"], &["check"]).unwrap().languages()
+    }
+
+    fn names(selection: &Selection) -> Vec<&'static str> {
+        selection.languages.iter().map(|l| l.name()).collect()
+    }
+
+    #[test]
+    fn no_positionals_select_all_five_languages() {
+        let all = select(&["--seed", "7", "--check"]).unwrap();
+        assert_eq!(names(&all), ["json", "lisp", "xml", "while", "mathexpr"]);
+        assert!(all.full_set);
+    }
+
+    #[test]
+    fn unknown_grammar_lists_the_valid_names() {
+        let err = select(&["lisp", "cobol"]).err().unwrap();
+        assert_eq!(err, "unknown grammar \"cobol\"; grammars: json lisp xml while mathexpr");
+        assert_eq!(language("cobol").err().unwrap(), err);
+        assert_eq!(language("xml").unwrap().name(), "xml");
+    }
+
+    #[test]
+    fn full_set_ignores_order_and_duplicates() {
+        let selection = select(&["mathexpr", "while", "xml", "lisp", "json", "lisp"]).unwrap();
+        assert!(selection.full_set);
+        // Named languages run in the order given, duplicates included.
+        assert_eq!(names(&selection), ["mathexpr", "while", "xml", "lisp", "json", "lisp"]);
+
+        let subset = select(&["json", "lisp", "xml", "while"]).unwrap();
+        assert!(!subset.full_set);
+        assert_eq!(names(&subset), ["json", "lisp", "xml", "while"]);
+        assert!(!select(&["lisp", "lisp"]).unwrap().full_set);
     }
 }

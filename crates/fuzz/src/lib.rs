@@ -14,8 +14,8 @@
 //! * [`RuleCoverage`] — rule-coverage bitmaps ([`vstar_vpl::Vpg::rule_id`])
 //!   extracted from derivations, the feedback signal that keys the corpus;
 //! * [`FuzzCampaign`] — the seeded, deterministic differential driver: every
-//!   input is judged by both the learned artifact
-//!   ([`vstar_parser::LearnedParser`]) and the black-box
+//!   input is judged by both the learned artifact (its oracle-free
+//!   [`vstar_parser::CompiledGrammar`]) and the black-box
 //!   [`vstar_oracles::Language`] oracle and classified as agree-accept,
 //!   agree-reject, false positive or false negative;
 //! * [`TreeMinimizer`] / [`minimize_string`] — greedy subtree/string deletion

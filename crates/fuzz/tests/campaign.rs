@@ -8,12 +8,12 @@ use vstar::tokenizer::PartialTokenizer;
 use vstar::{LearnedLanguage, Mat, TokenDiscovery};
 use vstar_fuzz::{surgery, CaseClass, FuzzCampaign, FuzzConfig};
 use vstar_oracles::{Fig1, Language};
-use vstar_parser::LearnedParser;
+use vstar_parser::VpgParser;
 use vstar_vpl::grammar::figure1_grammar;
 use vstar_vpl::{NonterminalId, RuleRhs, VpaBuilder, Vpg};
 
 /// Wraps a VPG as a character-mode learned language (the VPA member is a
-/// placeholder; campaigns run the grammar through `LearnedParser`).
+/// placeholder; campaigns run the grammar through its compiled artifact).
 fn char_mode_learned(vpg: Vpg) -> LearnedLanguage {
     let tagging = vpg.tagging().clone();
     let mut b = VpaBuilder::new(tagging.clone());
@@ -121,10 +121,10 @@ fn minimized_divergences_reproduce_their_classification() {
 
     let oracle_fn = |s: &str| oracle.accepts(s);
     let mat = Mat::new(&oracle_fn);
-    let parser = LearnedParser::new(&learned);
+    let parser = VpgParser::new(learned.vpg());
     for case in &report.divergences {
         let reclass = CaseClass::from_flags(
-            parser.accepts(&mat, &case.minimized),
+            parser.recognize(&learned.convert(&mat, &case.minimized)),
             oracle.accepts(&case.minimized),
         );
         assert_eq!(

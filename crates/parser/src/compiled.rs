@@ -1,10 +1,12 @@
 //! Owned, oracle-free compiled grammar artifacts for serving.
 //!
-//! [`crate::VpgParser`] and [`crate::LearnedParser`] borrow the grammar and —
-//! in token mode — drag a live [`Mat`](vstar::Mat) membership oracle through
-//! tokenization, so a learned grammar cannot be saved, shipped or served from
-//! threads without the whole learning stack alive. [`CompiledGrammar`] is the
-//! execution-side artifact that removes both constraints:
+//! [`crate::VpgParser`] borrows the grammar and reads converted words only;
+//! in token mode, converting a raw input for it
+//! ([`LearnedLanguage::convert`]) drags a live [`Mat`](vstar::Mat) membership
+//! oracle through tokenization, so a learned grammar cannot be saved, shipped
+//! or served from threads without the whole learning stack alive.
+//! [`CompiledGrammar`] is the execution-side artifact that removes both
+//! constraints:
 //!
 //! * **The derivative automaton is precompiled.** Following the derivative
 //!   parser generator of Jia, Kumar & Tan (OOPSLA 2021), the item sets the
@@ -1704,9 +1706,23 @@ mod tests {
         let learned = result.as_learned_language();
         let compiled = learned.compile().unwrap();
         assert_eq!(compiled.mode(), TokenDiscovery::Tokens);
+        let reference = VpgParser::new(learned.vpg());
         let mut extra = 0usize;
         for w in vstar_vpl::words::all_strings(&['(', ')', 'x'], 6) {
+            // The oracle-backed path: the learned VPA on the raw word, and
+            // the uncompiled grammar parser on its Mat-converted word. Both
+            // decide Dyck exactly.
             let oracle_path = learned.accepts(&mat, &w);
+            assert_eq!(oracle_path, dyck(&w), "learned VPA on {w:?}");
+            let converted = learned.convert(&mat, &w);
+            match reference.parse(&converted) {
+                Ok(tree) => {
+                    assert!(oracle_path, "reference parsed the non-member {w:?}");
+                    assert!(tree.validate(learned.vpg()));
+                    assert_eq!(tree.yielded(), converted);
+                }
+                Err(_) => assert!(!oracle_path, "reference failed to parse member {w:?}"),
+            }
             let compiled_verdict = compiled.recognize(&w);
             // The compiled scan explores every oracle decision sequence whose
             // takes execute and whose skips loop, so it accepts a superset of
@@ -1739,9 +1755,50 @@ mod tests {
         assert!(!compiled.recognize(")("));
         assert!(compiled.recognize("()"));
         assert!(compiled.recognize("(x(x))x"));
+        // One token pair was inferred, so the parse tree makes both nesting
+        // levels of the raw input explicit.
+        let tree = compiled.parse("((x)x)").unwrap();
+        assert_eq!(tree.depth(), 2);
+        assert!(!tree.is_empty());
         // compile() also works straight off the pipeline result.
         let again = result.compile().unwrap();
         assert_eq!(again.automaton_states(), compiled.automaton_states());
+    }
+
+    #[test]
+    fn parse_errors_map_back_to_raw_byte_spans() {
+        // Token mode with multi-character tokens: the artificial markers and
+        // the 3-character `<p>` token shift converted-word positions well away
+        // from raw positions, so the error must carry the raw byte span.
+        let lang = vstar_oracles::ToyXml::new();
+        let oracle = |s: &str| vstar_oracles::Language::accepts(&lang, s);
+        let mat = Mat::new(&oracle);
+        let compiled = VStar::new(VStarConfig::default())
+            .learn(
+                &mat,
+                &vstar_oracles::Language::alphabet(&lang),
+                &vstar_oracles::Language::seeds(&lang),
+            )
+            .expect("toy xml learns")
+            .compile()
+            .unwrap();
+        assert_eq!(compiled.mode(), TokenDiscovery::Tokens);
+
+        // Sanity: members parse.
+        assert!(compiled.parse("<p>ab</p>").is_ok());
+
+        // "<p>ab!cd</p>": '!' is nowhere in the language. The raw byte span
+        // must point exactly at the '!' (byte 5) and Display must show it.
+        let err = compiled.parse("<p>ab!cd</p>").unwrap_err();
+        assert_eq!(err.raw_span(), Some((5, 6)), "{err:?}");
+        assert!(err.fragment().unwrap().starts_with('!'), "{err:?}");
+        assert!(err.to_string().contains("raw input bytes 5..6"), "{err}");
+
+        // An unclosed element: the span points into the raw input, not past
+        // the marker-widened converted word.
+        let err = compiled.parse("<p>ab").unwrap_err();
+        let (start, end) = err.raw_span().expect("raw span attached");
+        assert!(start <= "<p>ab".len() && end <= "<p>ab".len(), "{err:?}");
     }
 
     #[test]

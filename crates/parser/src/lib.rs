@@ -6,7 +6,10 @@
 //! derivative-based parsing line of work ("A Derivative-based Parser Generator
 //! for Visibly Pushdown Grammars", Jia, Kumar & Tan, OOPSLA 2021):
 //!
-//! * [`VpgParser`] — a derivative-style recognizer and parser. Recognition and
+//! * [`VpgParser`] — a derivative-style recognizer and parser over words of
+//!   the grammar's own alphabet (in token mode, the converted word
+//!   [`vstar::LearnedLanguage::convert`] produces), and the uncompiled
+//!   reference every compiled verdict is tested against. Recognition and
 //!   parsing are linear in the input length (grammar fixed), with no
 //!   backtracking; parsing produces a [`ParseTree`] whose call/return nesting
 //!   is explicit ([`ParseStep::Nest`]).
@@ -15,12 +18,10 @@
 //!   samples are members by construction; the evaluation harness builds its
 //!   precision datasets with it, and it is the substrate for grammar-directed
 //!   fuzzing.
-//! * [`LearnedParser`] — raw-`&str` parsing for a learned language: converts
-//!   input with the learned tokenizer (`conv_τ`) and parses the converted word
-//!   with the learned grammar.
-//! * [`CompiledGrammar`] — the owned, serializable, **oracle-free serving
-//!   artifact** ([`compiled`]/[`artifact`]/[`serve`] modules): item-set
-//!   transitions precompiled into lookup tables, the tokenizer's k-Repetition
+//! * [`CompiledGrammar`] — raw-`&str` recognition and parsing for a learned
+//!   language, with parse errors mapped back to raw byte spans: the owned,
+//!   serializable, **oracle-free serving artifact** ([`compiled`]/[`artifact`]/
+//!   [`serve`] modules): item-set transitions precompiled into lookup tables, the tokenizer's k-Repetition
 //!   decisions materialized into the same tables, versioned `save`/`load`,
 //!   streaming [`Session`]s and scoped-thread batch serving. Obtained from a
 //!   learned language via [`CompileLearned::compile`].
@@ -55,7 +56,6 @@
 pub mod artifact;
 pub mod compiled;
 mod error;
-pub mod learned;
 pub mod recognizer;
 pub mod sampler;
 pub mod serve;
@@ -66,7 +66,6 @@ pub use compiled::{
     CompileError, CompileLearned, CompileOptions, CompiledGrammar, GrammarStats, TableView,
 };
 pub use error::{ParseError, ParseErrorKind};
-pub use learned::LearnedParser;
 pub use recognizer::VpgParser;
 pub use sampler::GrammarSampler;
 pub use serve::{Session, SessionState};

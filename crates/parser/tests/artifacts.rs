@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 use vstar::{Mat, VStar, VStarConfig};
 use vstar_oracles::{Json, Language, Lisp, MathExpr, WhileLang, Xml};
-use vstar_parser::{ArtifactError, CompileLearned, CompiledGrammar, LearnedParser};
+use vstar_parser::{ArtifactError, CompileLearned, CompiledGrammar, VpgParser};
 
 /// Learns `lang`, compiles it, round-trips the artifact through disk and
 /// checks the reloaded copy serves identically on a mixed corpus of members,
@@ -42,12 +42,13 @@ fn round_trip(lang: &dyn Language) {
     let corpus = support::corpus(lang);
 
     // The oracle-backed learning-time path, for the agreement check below:
-    // the compiled tokenization (takes-if-executable / skips-if-looping) is
-    // an approximation of the Mat-backed `conv_τ`, so its agreement with the
-    // oracle path on real learned grammars is an empirical claim — this pins
-    // it as a regression test across all five Table-1 languages.
+    // the Mat-backed `conv_τ` feeding the uncompiled grammar parser. The
+    // compiled tokenization (takes-if-executable / skips-if-looping) is an
+    // approximation of it, so its agreement with the oracle path on real
+    // learned grammars is an empirical claim — this pins it as a regression
+    // test across all five Table-1 languages.
     let learned = result.as_learned_language();
-    let oracle_path = LearnedParser::new(&learned);
+    let reference = VpgParser::new(learned.vpg());
 
     let mut members = 0usize;
     for s in &corpus {
@@ -59,7 +60,7 @@ fn round_trip(lang: &dyn Language) {
         assert_eq!(before, after, "{}: verdict drift on {s:?}", lang.name());
         assert_eq!(
             before,
-            oracle_path.accepts(&mat, s),
+            reference.recognize(&learned.convert(&mat, s)),
             "{}: compiled scan disagrees with the oracle-backed path on {s:?}",
             lang.name()
         );

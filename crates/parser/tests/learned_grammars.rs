@@ -7,14 +7,14 @@
 //! * **sample → parse → accept**: grammar-sampler outputs parse back to trees
 //!   that validate and yield the sampled word, and the recognizer accepts them;
 //! * **seeds parse**: every seed string (converted with the learned tokenizer)
-//!   parses, and the raw-string [`LearnedParser`] agrees with the learned VPA.
+//!   parses, and the compiled raw-string parser accepts it too.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vstar::{Mat, VStar, VStarConfig};
 use vstar_oracles::{Json, Language, Lisp, MathExpr, WhileLang, Xml};
-use vstar_parser::{GrammarSampler, LearnedParser, VpgParser};
+use vstar_parser::{CompileLearned, GrammarSampler, VpgParser};
 
 fn round_trip(lang: &dyn Language) {
     let oracle = |s: &str| lang.accepts(s);
@@ -25,7 +25,7 @@ fn round_trip(lang: &dyn Language) {
     let learned = result.as_learned_language();
     let parser = VpgParser::new(learned.vpg());
     let sampler = GrammarSampler::new(learned.vpg());
-    let raw_parser = LearnedParser::new(&learned);
+    let compiled = learned.compile().unwrap_or_else(|e| panic!("{}: compile: {e}", lang.name()));
 
     // Every seed parses: convert the raw seed and parse the converted word.
     for seed in lang.seeds() {
@@ -35,7 +35,7 @@ fn round_trip(lang: &dyn Language) {
             .unwrap_or_else(|e| panic!("{}: seed {seed:?} failed to parse: {e}", lang.name()));
         assert!(tree.validate(learned.vpg()), "{}: seed tree invalid", lang.name());
         assert_eq!(tree.yielded(), converted, "{}: seed tree yield", lang.name());
-        assert!(raw_parser.accepts(&mat, &seed), "{}: raw parser rejects seed", lang.name());
+        assert!(compiled.parse(&seed).is_ok(), "{}: raw parser rejects seed", lang.name());
     }
 
     // Sample → parse → accept on the learned grammar.

@@ -20,7 +20,7 @@ use vstar_vpl::{NonterminalId, RuleRhs};
 fn main() {
     let lang = Lisp::new();
     println!("learning {} from {} seeds …", lang.name(), lang.seeds().len());
-    let learned = vstar_bench::learn_learned_language(&lang);
+    let learned = vstar_bench::learn_plain(&lang).as_learned_language();
     println!(
         "learned grammar: {} nonterminals, {} rules",
         learned.vpg().nonterminal_count(),
