@@ -1,107 +1,17 @@
-//! Parsing raw strings with a learned language.
+//! Raw-input parsing of grammars learned end to end (tests only).
 //!
-//! [`crate::VpgParser`] works on words over the grammar's own alphabet — in
-//! token mode that is the converted alphabet Σ̃ with artificial call/return
-//! markers. [`LearnedParser`] closes the loop for end users: it converts a raw
-//! input with the learned tokenizer (`conv_τ`) and then recognizes/parses the
-//! converted word with the learned grammar, so a grammar learned by
-//! [`vstar::VStar::learn`] becomes a usable parser for plain `&str` inputs.
-//!
-//! Tokenization performs k-Repetition membership checks, so a [`Mat`] must be
-//! supplied; in character mode the conversion is the identity and no queries
-//! are issued.
+//! A learned language parses a raw `&str` either through its compiled
+//! artifact ([`crate::CompiledGrammar::parse`]) or, as the uncompiled
+//! reference, by converting the input with the learned tokenizer
+//! ([`vstar::LearnedLanguage::convert`]) and parsing the converted word with
+//! [`crate::VpgParser`]. These tests pin both against the oracle on a learned
+//! Dyck language.
 
-use vstar::{LearnedLanguage, Mat};
-
-use crate::error::ParseError;
-use crate::recognizer::VpgParser;
-use crate::tree::ParseTree;
-
-/// A parser for raw strings of a [`LearnedLanguage`].
-///
-/// Parse trees are over the learned grammar, i.e. over the *converted* word in
-/// token mode: the artificial marker characters appear as the call/return
-/// terminals of [`crate::tree::ParseStep::Nest`] steps, making the inferred
-/// nesting structure of the raw input explicit.
-#[derive(Clone, Debug)]
-pub struct LearnedParser<'l> {
-    learned: &'l LearnedLanguage,
-    parser: VpgParser<'l>,
-}
-
-impl<'l> LearnedParser<'l> {
-    /// Compiles a parser for the learned grammar.
-    #[must_use]
-    pub fn new(learned: &'l LearnedLanguage) -> Self {
-        LearnedParser { learned, parser: VpgParser::new(learned.vpg()) }
-    }
-
-    /// The underlying grammar-level parser.
-    #[must_use]
-    pub fn parser(&self) -> &VpgParser<'l> {
-        &self.parser
-    }
-
-    /// The learned-language handle this parser runs.
-    #[must_use]
-    pub fn learned(&self) -> &'l LearnedLanguage {
-        self.learned
-    }
-
-    /// Converts a raw string into the word the grammar reads (see
-    /// [`LearnedLanguage::convert`]).
-    #[must_use]
-    pub fn convert(&self, mat: &Mat<'_>, s: &str) -> String {
-        self.learned.convert(mat, s)
-    }
-
-    /// Decides membership of a raw string with the learned *grammar* (the
-    /// derivative recognizer on the converted word). Agrees with
-    /// [`LearnedLanguage::accepts`] on the well-matched languages the V-Star
-    /// pipeline produces.
-    #[must_use]
-    pub fn accepts(&self, mat: &Mat<'_>, s: &str) -> bool {
-        self.parser.recognize(&self.convert(mat, s))
-    }
-
-    /// Parses a raw string into a derivation of the learned grammar.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] over the *converted* word when the input is
-    /// not a member ([`ParseError::position`] indexes the converted word).
-    /// The error also carries the byte span of the offending fragment in the
-    /// *raw* input ([`ParseError::raw_span`]) — token occurrences shift and
-    /// widen converted positions, so the mapping goes through the tokenizer's
-    /// position-carrying conversion.
-    pub fn parse(&self, mat: &Mat<'_>, s: &str) -> Result<ParseTree, ParseError> {
-        match self.learned.mode() {
-            // Character mode: the word is the raw string and the position map
-            // the identity — parse directly, no intermediate collections.
-            vstar::TokenDiscovery::Characters => self.parser.parse(s).map_err(|e| {
-                let raw_char = e.position().unwrap_or_else(|| s.chars().count());
-                e.with_raw_char_context(s, raw_char)
-            }),
-            vstar::TokenDiscovery::Tokens => {
-                let with_positions = self.learned.tokenizer().convert_with_positions(mat, s);
-                let converted: String = with_positions.iter().map(|&(c, _)| c).collect();
-                self.parser.parse(&converted).map_err(|e| {
-                    let raw_char = e
-                        .position()
-                        .and_then(|p| with_positions.get(p).map(|&(_, raw)| raw))
-                        .unwrap_or_else(|| s.chars().count());
-                    e.with_raw_char_context(s, raw_char)
-                })
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use vstar::{VStar, VStarConfig};
+    use vstar::{Mat, VStar, VStarConfig, VStarResult};
     use vstar_vpl::words::all_strings;
+
+    use crate::{CompileLearned, VpgParser};
 
     fn dyck(s: &str) -> bool {
         let mut depth = 0i64;
@@ -121,80 +31,53 @@ mod tests {
         depth == 0
     }
 
+    fn learn_dyck(mat: &Mat<'_>) -> VStarResult {
+        VStar::new(VStarConfig::default())
+            .learn(mat, &['(', ')', 'x'], &["(x(x))x".to_string(), "()".to_string()])
+            .expect("learning succeeds")
+    }
+
     #[test]
     fn raw_string_round_trip_on_learned_dyck() {
         let oracle = dyck;
         let mat = Mat::new(&oracle);
-        let result = VStar::new(VStarConfig::default())
-            .learn(&mat, &['(', ')', 'x'], &["(x(x))x".to_string(), "()".to_string()])
-            .expect("learning succeeds");
+        let result = learn_dyck(&mat);
         let learned = result.as_learned_language();
-        let parser = LearnedParser::new(&learned);
+        let reference = VpgParser::new(learned.vpg());
+        let compiled = learned.compile().unwrap();
 
         for w in all_strings(&['(', ')', 'x'], 6) {
             let expected = dyck(&w);
-            assert_eq!(parser.accepts(&mat, &w), expected, "accepts mismatch on {w:?}");
             assert_eq!(learned.accepts(&mat, &w), expected, "vpa reference on {w:?}");
-            match parser.parse(&mat, &w) {
+            let converted = learned.convert(&mat, &w);
+            match reference.parse(&converted) {
                 Ok(tree) => {
                     assert!(expected, "parsed a non-member {w:?}");
                     assert!(tree.validate(learned.vpg()));
-                    assert_eq!(tree.yielded(), parser.convert(&mat, &w));
+                    assert_eq!(tree.yielded(), converted);
+                    assert_eq!(learned.strip(&converted), w);
                 }
                 Err(_) => assert!(!expected, "failed to parse member {w:?}"),
             }
+            if expected {
+                let tree = compiled.parse(&w).expect("compiled parses every member");
+                assert!(tree.validate(compiled.vpg()));
+            }
         }
-    }
-
-    #[test]
-    fn parse_errors_map_back_to_raw_byte_spans() {
-        // Token mode with multi-character tokens: the artificial markers and
-        // the 3-character `<p>` token shift converted-word positions well away
-        // from raw positions, so the error must carry the raw byte span.
-        let lang = vstar_oracles::ToyXml::new();
-        let oracle = |s: &str| vstar_oracles::Language::accepts(&lang, s);
-        let mat = Mat::new(&oracle);
-        let result = VStar::new(VStarConfig::default())
-            .learn(
-                &mat,
-                &vstar_oracles::Language::alphabet(&lang),
-                &vstar_oracles::Language::seeds(&lang),
-            )
-            .expect("toy xml learns");
-        let learned = result.as_learned_language();
-        let parser = LearnedParser::new(&learned);
-
-        // Sanity: members parse.
-        assert!(parser.parse(&mat, "<p>ab</p>").is_ok());
-
-        // "<p>ab!cd</p>": '!' is nowhere in the language. Its converted-word
-        // position is shifted by the call marker, but the raw byte span must
-        // point exactly at the '!' (byte 5) and Display must show it.
-        let err = parser.parse(&mat, "<p>ab!cd</p>").unwrap_err();
-        let raw_start = err.raw_span().expect("raw span attached").0;
-        assert_eq!(raw_start, 5, "{err:?}");
-        assert!(err.position().unwrap() > 5, "marker must shift the word position: {err:?}");
-        assert!(err.fragment().unwrap().starts_with('!'), "{err:?}");
-        assert!(err.to_string().contains("raw input bytes 5..6"), "{err}");
-
-        // An unclosed element: the span points into the raw input, not past
-        // the marker-widened converted word.
-        let err = parser.parse(&mat, "<p>ab").unwrap_err();
-        let (start, end) = err.raw_span().expect("raw span attached");
-        assert!(start <= "<p>ab".len() && end <= "<p>ab".len(), "{err:?}");
     }
 
     #[test]
     fn parse_trees_expose_inferred_nesting() {
         let oracle = dyck;
         let mat = Mat::new(&oracle);
-        let result = VStar::new(VStarConfig::default())
-            .learn(&mat, &['(', ')', 'x'], &["(x(x))x".to_string(), "()".to_string()])
-            .unwrap();
+        let result = learn_dyck(&mat);
         let learned = result.as_learned_language();
-        let parser = LearnedParser::new(&learned);
-        let tree = parser.parse(&mat, "((x)x)").unwrap();
-        // One token pair was inferred, so the converted word nests two levels.
+        // One token pair was inferred, so the converted word nests two levels,
+        // both through the uncompiled reference and the compiled artifact.
+        let tree = VpgParser::new(learned.vpg()).parse(&learned.convert(&mat, "((x)x)")).unwrap();
+        assert_eq!(tree.depth(), 2);
+        assert!(!tree.is_empty());
+        let tree = learned.compile().unwrap().parse("((x)x)").unwrap();
         assert_eq!(tree.depth(), 2);
         assert!(!tree.is_empty());
     }

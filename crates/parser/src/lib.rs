@@ -56,6 +56,8 @@
 pub mod artifact;
 pub mod compiled;
 mod error;
+#[cfg(test)]
+mod learned;
 pub mod recognizer;
 pub mod sampler;
 pub mod serve;
