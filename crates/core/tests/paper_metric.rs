@@ -3,12 +3,14 @@
 //! order, as the learner without its observation-table answer memo did. The
 //! memo may only skip lookups that the `Mat` would have answered from its
 //! cache; the bound on `Mat::total_queries` keeps it from silently turning
-//! back into repeated lookups.
+//! back into repeated lookups. Character-mode learns of the toy oracles are
+//! pinned the same way, since tagging inference and nesting-pattern search
+//! run only in that mode.
 
 use std::cell::Cell;
 
-use vstar::{Mat, VStar, VStarConfig};
-use vstar_oracles::{Json, Language, Lisp, MathExpr, WhileLang, Xml};
+use vstar::{Mat, TokenDiscovery, VStar, VStarConfig, VStarError, VStarResult};
+use vstar_oracles::{Dyck, Fig1, Json, Language, Lisp, MathExpr, ToyXml, WhileLang, Xml};
 
 /// What one plain learn is pinned to.
 struct Expected {
@@ -31,6 +33,17 @@ fn fnv1a_64(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 fn check(lang: &dyn Language, expected: &Expected) {
+    check_mode(lang, TokenDiscovery::Tokens, expected)
+        .unwrap_or_else(|e| panic!("{} learning failed: {e}", lang.name()));
+}
+
+/// Learns `lang` in `mode`, checks the queries against `expected` whether or
+/// not the learn succeeds, and returns its outcome.
+fn check_mode(
+    lang: &dyn Language,
+    mode: TokenDiscovery,
+    expected: &Expected,
+) -> Result<VStarResult, VStarError> {
     let digest = Cell::new(0xcbf2_9ce4_8422_2325u64);
     // The Mat calls the oracle exactly once per unique word, on its first
     // occurrence, so this closure sees the ordered miss sequence.
@@ -39,9 +52,8 @@ fn check(lang: &dyn Language, expected: &Expected) {
         lang.accepts(s)
     };
     let mat = Mat::new(&oracle);
-    VStar::new(VStarConfig::default())
-        .learn(&mat, &lang.alphabet(), &lang.seeds())
-        .unwrap_or_else(|e| panic!("{} learning failed: {e}", lang.name()));
+    let outcome = VStar::new(VStarConfig { token_discovery: mode, ..VStarConfig::default() })
+        .learn(&mat, &lang.alphabet(), &lang.seeds());
     let (unique, total) = (mat.unique_queries(), mat.total_queries());
     eprintln!("{}: unique {unique}, digest {:#018x}, total {total}", lang.name(), digest.get());
     assert_eq!(unique, expected.unique, "{}: unique queries", lang.name());
@@ -52,6 +64,7 @@ fn check(lang: &dyn Language, expected: &Expected) {
         lang.name(),
         expected.max_total
     );
+    outcome
 }
 
 #[test]
@@ -92,4 +105,36 @@ fn mathexpr_queries_are_pinned() {
         &MathExpr::new(),
         &Expected { unique: 46877, digest: 0x66ed_e33f_7704_9726, max_total: 250_000 },
     );
+}
+
+#[test]
+fn fig1_character_queries_are_pinned() {
+    check_mode(
+        &Fig1::new(),
+        TokenDiscovery::Characters,
+        &Expected { unique: 1838, digest: 0x922b_7caf_6349_7f7c, max_total: 10_000 },
+    )
+    .expect("fig1 learns in character mode");
+}
+
+#[test]
+fn toy_xml_character_queries_are_pinned() {
+    // `<p>`/`</p>` are multi-character tokens, so no character-level tagging
+    // fits: the learn fails after tagging inference has spent its queries.
+    let outcome = check_mode(
+        &ToyXml::new(),
+        TokenDiscovery::Characters,
+        &Expected { unique: 1767, digest: 0xc782_c0ee_2d45_7ea3, max_total: 30_000 },
+    );
+    assert!(outcome.is_err(), "toy xml has no character-level tagging");
+}
+
+#[test]
+fn dyck_character_queries_are_pinned() {
+    check_mode(
+        &Dyck::new(),
+        TokenDiscovery::Characters,
+        &Expected { unique: 380, digest: 0x65e4_fed5_aecb_10f4, max_total: 2_000 },
+    )
+    .expect("dyck learns in character mode");
 }
