@@ -113,14 +113,14 @@ pub fn analyze_passive(result: &PassiveResult, reinfer: Option<&ReinferReport>) 
 
 #[cfg(test)]
 mod tests {
-    use vstar_passive::{learn_passive, PassiveConfig};
+    use vstar_passive::learn_passive;
 
     use super::*;
 
     fn bracket_result() -> PassiveResult {
         let corpus: Vec<String> =
             ["(a)", "((a)b)", "(ab)", "(a(b))"].iter().map(|s| (*s).to_string()).collect();
-        learn_passive(&corpus, &PassiveConfig::default())
+        learn_passive(&corpus)
     }
 
     #[test]
@@ -172,12 +172,12 @@ mod tests {
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-        let report = analyze_passive(&learn_passive(&noisy, &PassiveConfig::default()), None);
+        let report = analyze_passive(&learn_passive(&noisy), None);
         assert!(report.has("PSV003"));
         assert!(!report.has("PSV004"));
 
         let flat: Vec<String> = ["ab", "abab"].iter().map(|s| (*s).to_string()).collect();
-        let report = analyze_passive(&learn_passive(&flat, &PassiveConfig::default()), None);
+        let report = analyze_passive(&learn_passive(&flat), None);
         assert!(report.has("PSV004"));
         assert!(!report.has("PSV003"));
     }

@@ -30,22 +30,23 @@ pub enum EquivalenceMode {
 pub struct LStarConfig {
     /// Equivalence-query simulation strategy.
     pub equivalence: EquivalenceMode,
-    /// Upper bound on refinement rounds (defensive; the algorithm terminates long
-    /// before this for regular targets).
-    pub max_rounds: usize,
 }
+
+/// Upper bound on refinement rounds (defensive; the algorithm terminates long
+/// before this for regular targets).
+const MAX_ROUNDS: usize = 200;
 
 impl LStarConfig {
     /// Simulate equivalence queries by enumerating all strings up to `max_len`.
     #[must_use]
     pub fn bounded_equivalence(max_len: usize) -> Self {
-        LStarConfig { equivalence: EquivalenceMode::Bounded(max_len), max_rounds: 200 }
+        LStarConfig { equivalence: EquivalenceMode::Bounded(max_len) }
     }
 
     /// Simulate equivalence queries with an explicit pool of test strings.
     #[must_use]
     pub fn with_test_strings(tests: Vec<String>) -> Self {
-        LStarConfig { equivalence: EquivalenceMode::TestStrings(tests), max_rounds: 200 }
+        LStarConfig { equivalence: EquivalenceMode::TestStrings(tests) }
     }
 }
 
@@ -237,7 +238,7 @@ impl<'a> LStar<'a> {
     /// (minimized).
     pub fn learn(&mut self) -> Dfa {
         self.close_and_make_consistent();
-        for _ in 0..self.config.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             let hyp = self.hypothesis();
             match self.find_counterexample(&hyp) {
                 None => return hyp.minimized(),

@@ -20,25 +20,18 @@ use rand::{Rng, SeedableRng};
 use crate::cfg::{Cfg, SymbolRef};
 use crate::LearnedGrammar;
 
-/// Configuration of the ARVADA-style learner.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ArvadaConfig {
-    /// Maximum length (in symbols) of a bubbled span.
-    pub max_bubble_len: usize,
-    /// Number of bubbling/merging rounds.
-    pub rounds: usize,
-    /// Number of swap checks per interchangeability test.
-    pub merge_checks: usize,
-    /// RNG seed (the original tool is randomised; the paper reports means over 10
-    /// runs).
-    pub rng_seed: u64,
-}
+/// Maximum length (in symbols) of a bubbled span.
+const MAX_BUBBLE_LEN: usize = 4;
 
-impl Default for ArvadaConfig {
-    fn default() -> Self {
-        ArvadaConfig { max_bubble_len: 4, rounds: 8, merge_checks: 4, rng_seed: 11 }
-    }
-}
+/// Number of bubbling/merging rounds.
+const ROUNDS: usize = 8;
+
+/// Number of swap checks per interchangeability test.
+const MERGE_CHECKS: usize = 4;
+
+/// RNG seed (the original tool is randomised; the paper reports means over 10
+/// runs).
+const RNG_SEED: u64 = 11;
 
 /// The learned ARVADA-style grammar.
 #[derive(Clone, Debug)]
@@ -49,15 +42,15 @@ pub struct Arvada {
 
 impl Arvada {
     /// Learns a CFG from the seeds and a membership oracle.
-    pub fn learn(oracle: &dyn Fn(&str) -> bool, seeds: &[String], config: &ArvadaConfig) -> Self {
+    pub fn learn(oracle: &dyn Fn(&str) -> bool, seeds: &[String]) -> Self {
         let queries = Cell::new(0usize);
         let check = |s: &str| {
             queries.set(queries.get() + 1);
             oracle(s)
         };
-        let mut learner = Learner::new(seeds, config);
+        let mut learner = Learner::new(seeds);
         learner.discover_character_classes(&check);
-        for _ in 0..config.rounds {
+        for _ in 0..ROUNDS {
             if !learner.bubble_and_merge(&check) {
                 break;
             }
@@ -94,7 +87,6 @@ struct Learner {
     /// Learned nonterminals: `classes[i]` = alternatives (sequences).
     classes: Vec<Vec<Vec<Sym>>>,
     rng: StdRng,
-    config: ArvadaConfig,
 }
 
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,12 +96,11 @@ enum Sym {
 }
 
 impl Learner {
-    fn new(seeds: &[String], config: &ArvadaConfig) -> Self {
+    fn new(seeds: &[String]) -> Self {
         Learner {
             root_alts: seeds.iter().map(|s| s.chars().map(Sym::T).collect()).collect(),
             classes: Vec::new(),
-            rng: StdRng::seed_from_u64(config.rng_seed),
-            config: config.clone(),
+            rng: StdRng::seed_from_u64(RNG_SEED),
         }
     }
 
@@ -193,7 +184,7 @@ impl Learner {
                     return false;
                 }
                 tested += 1;
-                if tested >= self.config.merge_checks * 2 {
+                if tested >= MERGE_CHECKS * 2 {
                     return true;
                 }
             }
@@ -206,7 +197,7 @@ impl Learner {
         // Candidate spans: contiguous symbol sequences of the root alternatives.
         let mut span_counts: BTreeMap<Vec<Sym>, usize> = BTreeMap::new();
         for alt in &self.root_alts {
-            for len in 2..=self.config.max_bubble_len.min(alt.len()) {
+            for len in 2..=MAX_BUBBLE_LEN.min(alt.len()) {
                 for start in 0..=alt.len() - len {
                     *span_counts.entry(alt[start..start + len].to_vec()).or_default() += 1;
                 }
@@ -281,7 +272,7 @@ impl Learner {
                     passed += 1;
                 }
             }
-            if checks >= self.config.merge_checks {
+            if checks >= MERGE_CHECKS {
                 break;
             }
         }
@@ -364,7 +355,7 @@ mod tests {
     #[test]
     fn seeds_are_always_accepted() {
         let seeds = vec!["(x)".to_string(), "((y)x)".to_string(), "x".to_string()];
-        let arvada = Arvada::learn(&dyck, &seeds, &ArvadaConfig::default());
+        let arvada = Arvada::learn(&dyck, &seeds);
         for s in &seeds {
             assert!(arvada.accepts(s), "{s:?}");
         }
@@ -376,7 +367,7 @@ mod tests {
     fn character_classes_generalise_terminals() {
         // x and y are interchangeable plain characters; Arvada should class them.
         let seeds = vec!["(x)".to_string(), "(y)".to_string()];
-        let arvada = Arvada::learn(&dyck, &seeds, &ArvadaConfig::default());
+        let arvada = Arvada::learn(&dyck, &seeds);
         assert!(arvada.accepts("(x)"));
         assert!(arvada.accepts("(y)"));
     }
@@ -384,7 +375,7 @@ mod tests {
     #[test]
     fn samples_come_from_the_learned_grammar() {
         let seeds = vec!["(x)".to_string(), "((x)x)".to_string()];
-        let arvada = Arvada::learn(&dyck, &seeds, &ArvadaConfig::default());
+        let arvada = Arvada::learn(&dyck, &seeds);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..30 {
             let s = arvada.sample(&mut rng, 20).unwrap();
@@ -395,8 +386,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let seeds = vec!["(x)".to_string(), "x".to_string()];
-        let a1 = Arvada::learn(&dyck, &seeds, &ArvadaConfig::default());
-        let a2 = Arvada::learn(&dyck, &seeds, &ArvadaConfig::default());
+        let a1 = Arvada::learn(&dyck, &seeds);
+        let a2 = Arvada::learn(&dyck, &seeds);
         assert_eq!(a1.queries_used(), a2.queries_used());
         assert_eq!(a1.cfg().rule_count(), a2.cfg().rule_count());
     }

@@ -18,20 +18,8 @@ use vstar_automata::regex::{Ast, Regex};
 
 use crate::LearnedGrammar;
 
-/// Configuration of the GLADE-style learner.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GladeConfig {
-    /// Sample strings drawn per character-class generalisation check.
-    pub class_check_samples: usize,
-    /// Maximum repetition-block length considered.
-    pub max_repeat_block: usize,
-}
-
-impl Default for GladeConfig {
-    fn default() -> Self {
-        GladeConfig { class_check_samples: 4, max_repeat_block: 4 }
-    }
-}
+/// Maximum repetition-block length considered.
+const MAX_REPEAT_BLOCK: usize = 4;
 
 /// The learned GLADE-style grammar: a union of per-seed regular expressions.
 #[derive(Clone, Debug)]
@@ -42,7 +30,7 @@ pub struct Glade {
 
 impl Glade {
     /// Learns a union-of-regexes grammar from the seeds and a membership oracle.
-    pub fn learn(oracle: &dyn Fn(&str) -> bool, seeds: &[String], config: &GladeConfig) -> Self {
+    pub fn learn(oracle: &dyn Fn(&str) -> bool, seeds: &[String]) -> Self {
         let queries = Cell::new(0usize);
         let check = |s: &str| {
             queries.set(queries.get() + 1);
@@ -50,7 +38,7 @@ impl Glade {
         };
         let mut regexes = Vec::new();
         for seed in seeds {
-            let ast = generalize_seed(&check, seed, config);
+            let ast = generalize_seed(&check, seed);
             regexes.push(Regex::from_ast(ast));
         }
         Glade { regexes, queries: queries.get() }
@@ -118,7 +106,7 @@ fn render_with_replacement(
 /// Generalises one seed into a regex AST: character classes for digit/letter runs
 /// first (checked in the original seed context), then repetition blocks inside the
 /// remaining literal pieces.
-fn generalize_seed(check: &dyn Fn(&str) -> bool, seed: &str, config: &GladeConfig) -> Ast {
+fn generalize_seed(check: &dyn Fn(&str) -> bool, seed: &str) -> Ast {
     let chars: Vec<char> = seed.chars().collect();
     let n = chars.len();
 
@@ -147,10 +135,7 @@ fn generalize_seed(check: &dyn Fn(&str) -> bool, seed: &str, config: &GladeConfi
             while j < n && class.matches(chars[j]) {
                 j += 1;
             }
-            let ok = samples
-                .iter()
-                .take(config.class_check_samples)
-                .all(|rep| check(&render_with_replacement(&chars, (i, j), rep)));
+            let ok = samples.iter().all(|rep| check(&render_with_replacement(&chars, (i, j), rep)));
             if ok {
                 pieces.push((Piece::General(Ast::Plus(Box::new(Ast::Class(class)))), (i, j)));
             } else {
@@ -175,7 +160,7 @@ fn generalize_seed(check: &dyn Fn(&str) -> bool, seed: &str, config: &GladeConfi
                 let mut k = 0usize;
                 while k < piece_chars.len() {
                     let mut matched = None;
-                    for len in 1..=config.max_repeat_block.min(piece_chars.len() - k) {
+                    for len in 1..=MAX_REPEAT_BLOCK.min(piece_chars.len() - k) {
                         let block: String = piece_chars[k..k + len].iter().collect();
                         let abs = (start + k, start + k + len);
                         debug_assert!(abs.1 <= end);
@@ -308,7 +293,7 @@ mod tests {
     fn learns_classes_and_accepts_variants() {
         let oracle = json_like;
         let seeds = vec!["{\"a\":1}".to_string(), "7".to_string()];
-        let glade = Glade::learn(&oracle, &seeds, &GladeConfig::default());
+        let glade = Glade::learn(&oracle, &seeds);
         // Seeds accepted.
         for s in &seeds {
             assert!(glade.accepts(s));
@@ -325,7 +310,7 @@ mod tests {
     fn precision_of_samples() {
         let oracle = json_like;
         let seeds = vec!["{\"k\":3}".to_string(), "{}".to_string()];
-        let glade = Glade::learn(&oracle, &seeds, &GladeConfig::default());
+        let glade = Glade::learn(&oracle, &seeds);
         let mut rng = StdRng::seed_from_u64(9);
         let mut valid = 0usize;
         let total = 50usize;
@@ -351,7 +336,7 @@ mod tests {
                 && b.len() >= 2
         };
         let seeds = vec!["aab".to_string()];
-        let glade = Glade::learn(&oracle, &seeds, &GladeConfig::default());
+        let glade = Glade::learn(&oracle, &seeds);
         assert!(glade.accepts("aab"));
         assert!(glade.accepts("aaaab"));
         // Repetition blocks are one-or-more, so the invalid "b" stays rejected.

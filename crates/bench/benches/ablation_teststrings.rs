@@ -1,5 +1,5 @@
-//! Criterion bench for Ablation A (DESIGN.md): cost of V-Star learning as a
-//! function of the simulated-equivalence test-string budget.
+//! Criterion bench for Ablation A of the `ablation` bin: cost of V-Star learning
+//! as a function of the simulated-equivalence test-string budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

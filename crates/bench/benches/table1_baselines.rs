@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use vstar_baselines::{Arvada, ArvadaConfig, Glade, GladeConfig, LearnedGrammar};
+use vstar_baselines::{Arvada, Glade, LearnedGrammar};
 use vstar_oracles::{Json, Language, Lisp};
 
 fn bench_baselines(c: &mut Criterion) {
@@ -17,13 +17,13 @@ fn bench_baselines(c: &mut Criterion) {
         let oracle = |s: &str| lang.accepts(s);
         group.bench_function(format!("glade_{name}"), |b| {
             b.iter(|| {
-                let g = Glade::learn(&oracle, &seeds, &GladeConfig::default());
+                let g = Glade::learn(&oracle, &seeds);
                 black_box(g.queries_used())
             });
         });
         group.bench_function(format!("arvada_{name}"), |b| {
             b.iter(|| {
-                let a = Arvada::learn(&oracle, &seeds, &ArvadaConfig::default());
+                let a = Arvada::learn(&oracle, &seeds);
                 black_box(a.queries_used())
             });
         });

@@ -1,4 +1,4 @@
-//! Ablations for the design choices called out in DESIGN.md:
+//! Ablations of V-Star's two tunables:
 //!
 //! * **Ablation A — test-string budget**: V-Star simulates equivalence queries
 //!   from seed-derived test strings; this sweep varies the budget and reports the

@@ -49,7 +49,7 @@ use vstar_bench::{learn_refined_language, REFINE_MIN_ITERATIONS};
 use vstar_fuzz::surgery::with_crossed_returns;
 use vstar_fuzz::FuzzConfig;
 use vstar_parser::CompileLearned;
-use vstar_passive::{learn_passive, PassiveConfig};
+use vstar_passive::learn_passive;
 
 /// File the machine-readable report is written to (current directory).
 const JSON_REPORT_PATH: &str = "BENCH_analyze.json";
@@ -144,12 +144,7 @@ fn main() {
         && max_campaigns == DEFAULT_MAX_CAMPAIGNS
         && budget == DEFAULT_BUDGET;
 
-    let loop_config = FuzzConfig {
-        seed,
-        iterations: refine_iterations,
-        sample_budget: budget,
-        ..FuzzConfig::default()
-    };
+    let loop_config = FuzzConfig { seed, iterations: refine_iterations, sample_budget: budget };
     let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
 
     let mut grammars: Vec<GrammarAnalyzeReport> = Vec::new();
@@ -167,7 +162,7 @@ fn main() {
         let mut corpus_rng = StdRng::seed_from_u64(seed);
         let corpus =
             lang.generate_corpus(&mut corpus_rng, PASSIVE_CORPUS_BUDGET, PASSIVE_CORPUS_SIZE);
-        let passive = analyze_passive(&learn_passive(&corpus, &PassiveConfig::default()), None);
+        let passive = analyze_passive(&learn_passive(&corpus), None);
         eprintln!(
             "analyzed {name}: {} learned finding(s), {} compiled finding(s), \
              {} passive finding(s), {}/{} states mergeable",

@@ -22,11 +22,11 @@
 //! deterministic: the same seed produces a byte-identical `BENCH_fuzz.json`
 //! and corpus tree. `BENCH_fuzz.json` is only written when the run covers all
 //! five grammars *at the default configuration*, so partial or overridden
-//! runs (including CI's `--iterations 150 --check` smoke) never clobber the
-//! tracked report. Campaigns over the plain pipeline's grammars are the
-//! `pre` rows of the `refine` binary's `BENCH_refine.json`.
+//! runs never clobber the tracked report. Campaigns over the plain
+//! pipeline's grammars are the `pre` rows of the `refine` binary's
+//! `BENCH_refine.json`.
 //!
-//! `--check` turns the run into the CI smoke gate: the process exits nonzero
+//! `--check` turns the run into the CI gate: the process exits nonzero
 //! when any campaign reports a divergence (see
 //! `vstar_bench::unexpected_divergence_classes`: since refinement, *no*
 //! class is allowed anywhere). The in-loop refinement campaigns run at the
@@ -78,8 +78,7 @@ fn main() {
     let corpus_dir = args.value("corpus").unwrap_or("FUZZ_corpus").to_string();
     let selection = args.languages().unwrap_or_else(|e| fail(e));
     // The committed report is generated at exactly the default configuration;
-    // any override (e.g. CI's `--iterations 150 --check` smoke) must not
-    // clobber it with numbers from a different budget.
+    // any override must not clobber it with numbers from a different budget.
     let tracked_config =
         seed == DEFAULT_SEED && iterations == DEFAULT_ITERATIONS && budget == DEFAULT_BUDGET;
 
@@ -89,9 +88,8 @@ fn main() {
         seed,
         iterations: iterations.max(REFINE_MIN_ITERATIONS),
         sample_budget: budget,
-        ..FuzzConfig::default()
     };
-    let config = FuzzConfig { seed, iterations, sample_budget: budget, ..FuzzConfig::default() };
+    let config = FuzzConfig { seed, iterations, sample_budget: budget };
     let mut campaigns: Vec<CampaignReport> = Vec::new();
     for lang in &selection.languages {
         let name = lang.name();

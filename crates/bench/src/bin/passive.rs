@@ -38,7 +38,7 @@ use vstar_bench::{learn_plain, repair_learned_language};
 use vstar_eval::{measure_vstar_accuracy, recall_dataset, EvalConfig};
 use vstar_oracles::CountingOracle;
 use vstar_parser::GrammarSampler;
-use vstar_passive::{learn_hybrid, learn_passive, HybridConfig, PassiveConfig};
+use vstar_passive::{learn_hybrid, learn_passive};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -161,7 +161,7 @@ fn main() {
         for &n in &sizes {
             let mut rng = StdRng::seed_from_u64(seed);
             let corpus = lang.generate_corpus(&mut rng, budget, n);
-            let result = learn_passive(&corpus, &PassiveConfig::default());
+            let result = learn_passive(&corpus);
             let recall_value = {
                 let mut hits = 0usize;
                 for w in &eval_corpus {
@@ -227,14 +227,8 @@ fn main() {
         let warm_counting = CountingOracle::new(|s: &str| lang.accepts(s));
         let warm_oracle = |s: &str| warm_counting.member(s);
         let warm_mat = Mat::new(&warm_oracle);
-        let warm = learn_hybrid(
-            &warm_mat,
-            &lang.alphabet(),
-            &lang.seeds(),
-            &corpus,
-            &HybridConfig::default(),
-        )
-        .expect("hybrid run succeeds");
+        let warm = learn_hybrid(&warm_mat, &lang.alphabet(), &lang.seeds(), &corpus)
+            .expect("hybrid run succeeds");
         let warm_queries = warm_counting.unique_queries();
 
         let cold_accuracy = measure_vstar_accuracy(lang.as_ref(), &eval, &cold_result);

@@ -152,14 +152,9 @@ fn main() {
     // The in-loop campaigns must dominate the gate campaigns: a fixed point at
     // `refine_iterations ≥ iterations` (same seed, same budget) certifies the
     // gate campaign clean by prefix determinism.
-    let gate_config =
-        FuzzConfig { seed, iterations, sample_budget: budget, ..FuzzConfig::default() };
-    let loop_config = FuzzConfig {
-        seed,
-        iterations: refine_iterations.max(iterations),
-        sample_budget: budget,
-        ..FuzzConfig::default()
-    };
+    let gate_config = FuzzConfig { seed, iterations, sample_budget: budget };
+    let loop_config =
+        FuzzConfig { seed, iterations: refine_iterations.max(iterations), sample_budget: budget };
     let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
 
     let mut grammars: Vec<GrammarRefineReport> = Vec::new();

@@ -163,14 +163,9 @@ fn main() {
         && budget == DEFAULT_BUDGET
         && serve_samples == DEFAULT_SERVE_SAMPLES;
 
-    let gate_config =
-        FuzzConfig { seed, iterations, sample_budget: budget, ..FuzzConfig::default() };
-    let loop_config = FuzzConfig {
-        seed,
-        iterations: refine_iterations.max(iterations),
-        sample_budget: budget,
-        ..FuzzConfig::default()
-    };
+    let gate_config = FuzzConfig { seed, iterations, sample_budget: budget };
+    let loop_config =
+        FuzzConfig { seed, iterations: refine_iterations.max(iterations), sample_budget: budget };
     let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
 
     let mut rows: Vec<TraceRow> = Vec::new();

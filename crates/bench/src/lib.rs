@@ -4,7 +4,8 @@
 //! figures (Figure 1 and Figure 2). `cargo run -p vstar_bench --bin table1
 //! --release` regenerates the table against the bundled oracles; the Criterion
 //! benches in `benches/` time the individual components and the figure examples;
-//! `--bin ablation` runs the two design-choice ablations documented in DESIGN.md.
+//! `--bin ablation` sweeps V-Star's two tunables, the test-string budget and the
+//! pumping bound `K`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -208,19 +209,9 @@ pub fn repair_learned_language(
 
     let oracle = |s: &str| lang.accepts(s);
     let mat = vstar::Mat::new(&oracle);
-    let config = vstar_passive::ReinferConfig {
-        vstar: eval.vstar.clone(),
-        ..vstar_passive::ReinferConfig::default()
-    };
-    let repaired = vstar_passive::repair_with_corpus(
-        &mat,
-        &lang.alphabet(),
-        &lang.seeds(),
-        base,
-        &corpus,
-        &config,
-    )
-    .expect("corpus-driven repair succeeds on the bundled grammars");
+    let repaired =
+        vstar_passive::repair_with_corpus(&mat, &lang.alphabet(), &lang.seeds(), base, &corpus)
+            .expect("corpus-driven repair succeeds on the bundled grammars");
     let recall_after = match &repaired {
         Some(run) => {
             let compiled = run.result.compile().expect("repaired grammar compiles for serving");

@@ -296,7 +296,7 @@ impl TestPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sevpa_learner::{SevpaLearner, SevpaLearnerConfig, TaggedAlphabet};
+    use crate::sevpa_learner::{SevpaLearner, TaggedAlphabet};
     use crate::tokenizer::strip_markers;
     use vstar_vpl::Tagging;
 
@@ -365,7 +365,7 @@ mod tests {
         let member = |w: &str| mat.member(&strip_markers(w));
         let member_ref: &dyn Fn(&str) -> bool = &member;
         let alphabet = TaggedAlphabet::new(tokenizer.marker_tagging(), vec!['(', ')', 'x']);
-        let mut learner = SevpaLearner::new(member_ref, alphabet, SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member_ref, alphabet);
         let hyp = learner.learn(|h| pool.find_counterexample(&mat, h)).expect("learning succeeds");
         // After convergence the hypothesis agrees with the oracle on every pool string.
         assert!(pool.find_counterexample(&mat, &hyp).is_none());
@@ -382,7 +382,7 @@ mod tests {
         let member = |_: &str| false;
         let member_ref: &dyn Fn(&str) -> bool = &member;
         let alphabet = TaggedAlphabet::new(tokenizer.marker_tagging(), vec!['(', ')', 'x']);
-        let mut learner = SevpaLearner::new(member_ref, alphabet, SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member_ref, alphabet);
         let wrong = learner.learn(|_| None).expect("no counterexamples requested");
         let ce = pool.find_counterexample(&mat, &wrong);
         assert!(ce.is_some());

@@ -76,15 +76,13 @@ pub mod tokenizer;
 pub use equivalence::{EquivalenceContext, EquivalenceStrategy, PoolEquivalence};
 pub use error::VStarError;
 pub use mat::Mat;
-pub use nesting::{candidate_nesting, NestingConfig, NestingPattern};
+pub use nesting::{candidate_nesting, NestingPattern};
 pub use pipeline::{LearnedLanguage, TokenDiscovery, VStar, VStarConfig, VStarResult, VStarStats};
 pub use refine::{
     rule_liveness, CorpusEvidence, Evidence, EvidenceEquivalence, EvidenceSource, RefineConfig,
     RefineLog, RuleLiveness,
 };
-pub use sevpa_learner::{
-    ModuleSeed, ObservationSeed, SevpaLearner, SevpaLearnerConfig, TaggedAlphabet,
-};
+pub use sevpa_learner::{ModuleSeed, ObservationSeed, SevpaLearner, TaggedAlphabet};
 pub use tag_infer::tag_infer;
 pub use token_infer::{token_infer, TokenInferConfig};
 pub use tokenizer::{PartialTokenizer, TokenKind, TokenMatcher, TokenPair};

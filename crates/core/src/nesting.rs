@@ -111,46 +111,24 @@ impl std::fmt::Display for NestingPattern {
     }
 }
 
-/// Limits for the nesting-pattern enumeration.
-///
-/// The paper enumerates every disjoint substring pair; the optional limits here cap
-/// the cost on long seed strings while keeping the default behaviour unbounded.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NestingConfig {
-    /// Maximum length of `x` (and of `y`), if any.
-    pub max_part_len: Option<usize>,
-    /// Maximum number of patterns kept per seed, if any (outermost-first order).
-    pub max_patterns_per_seed: Option<usize>,
-}
-
 /// Enumerates candidate nesting patterns of the seed strings, checking the pumping
 /// conditions for exponents up to `big_k` (paper Algorithm 3, `candidateNesting`).
+/// As in the paper, every disjoint substring pair of every seed is tried.
 ///
 /// Patterns are returned grouped by seed, outermost-first within a seed (longest
 /// span between the start of `x` and the end of `y` first), which is the order the
 /// search procedures prefer (paper: "Our algorithm prioritizes the outermost
 /// characters for pairing").
 #[must_use]
-pub fn candidate_nesting(
-    mat: &Mat<'_>,
-    seeds: &[String],
-    big_k: usize,
-    config: &NestingConfig,
-) -> Vec<NestingPattern> {
+pub fn candidate_nesting(mat: &Mat<'_>, seeds: &[String], big_k: usize) -> Vec<NestingPattern> {
     let mut out = Vec::new();
     for seed in seeds {
         let mut per_seed = Vec::new();
         let n = seed.chars().count();
         for x_start in 0..n {
             for x_end in x_start + 1..=n {
-                if config.max_part_len.is_some_and(|m| x_end - x_start > m) {
-                    break;
-                }
                 for y_start in x_end..n {
                     for y_end in y_start + 1..=n {
-                        if config.max_part_len.is_some_and(|m| y_end - y_start > m) {
-                            break;
-                        }
                         let pattern = NestingPattern::new(seed, (x_start, x_end), (y_start, y_end));
                         if is_nesting_pattern(mat, &pattern, big_k) {
                             per_seed.push(pattern);
@@ -164,9 +142,6 @@ pub fn candidate_nesting(
             let span = p.y_range().1 - p.x_range().0;
             (usize::MAX - span, p.x_range().0)
         });
-        if let Some(cap) = config.max_patterns_per_seed {
-            per_seed.truncate(cap);
-        }
         out.extend(per_seed);
     }
     out
@@ -282,7 +257,7 @@ mod tests {
         let oracle = fig1_oracle;
         let mat = Mat::new(&oracle);
         let seeds = vec!["agcdcdhbcd".to_string()];
-        let patterns = candidate_nesting(&mat, &seeds, 2, &NestingConfig::default());
+        let patterns = candidate_nesting(&mat, &seeds, 2);
         assert!(!patterns.is_empty());
         let pairs: Vec<(String, String)> = patterns.iter().map(|p| (p.x(), p.y())).collect();
         // The paper lists (ag, hb) and (ag, cdcdhbcd) among the patterns.
@@ -301,25 +276,11 @@ mod tests {
         let oracle = fig1_oracle;
         let mat = Mat::new(&oracle);
         let seeds = vec!["agcdcdhbcd".to_string()];
-        let patterns = candidate_nesting(&mat, &seeds, 2, &NestingConfig::default());
+        let patterns = candidate_nesting(&mat, &seeds, 2);
         let first = &patterns[0];
         let span = first.y_range().1 - first.x_range().0;
         for p in &patterns {
             assert!(span >= p.y_range().1 - p.x_range().0);
-        }
-    }
-
-    #[test]
-    fn config_limits_are_respected() {
-        let oracle = fig1_oracle;
-        let mat = Mat::new(&oracle);
-        let seeds = vec!["agcdcdhbcd".to_string()];
-        let config = NestingConfig { max_part_len: Some(2), max_patterns_per_seed: Some(3) };
-        let patterns = candidate_nesting(&mat, &seeds, 2, &config);
-        assert!(patterns.len() <= 3);
-        for p in &patterns {
-            assert!(p.x().chars().count() <= 2);
-            assert!(p.y().chars().count() <= 2);
         }
     }
 
@@ -344,7 +305,7 @@ mod tests {
         };
         let mat = Mat::new(&oracle);
         let seeds = vec!["(x)".to_string()];
-        let patterns = candidate_nesting(&mat, &seeds, 2, &NestingConfig::default());
+        let patterns = candidate_nesting(&mat, &seeds, 2);
         let pairs: Vec<(String, String)> = patterns.iter().map(|p| (p.x(), p.y())).collect();
         assert!(pairs.contains(&("(".to_string(), ")".to_string())));
         // "(x" / ")" is also a legitimate nesting pattern; "x" alone never is.

@@ -17,10 +17,8 @@ use crate::equivalence::{
 use crate::error::VStarError;
 use crate::mat::Mat;
 use crate::refine::{EvidenceEquivalence, EvidenceSource, RefineConfig, RefineLog};
-use crate::sevpa_learner::{
-    Hypothesis, ObservationSeed, SevpaLearner, SevpaLearnerConfig, TaggedAlphabet,
-};
-use crate::tag_infer::{tag_infer, TagInferConfig};
+use crate::sevpa_learner::{Hypothesis, ObservationSeed, SevpaLearner, TaggedAlphabet};
+use crate::tag_infer::{tag_infer, TAG_INFER_MAX_K};
 use crate::token_infer::{token_infer, TokenInferConfig};
 use crate::tokenizer::{strip_markers, PartialTokenizer};
 
@@ -41,12 +39,8 @@ pub enum TokenDiscovery {
 pub struct VStarConfig {
     /// Structure-discovery mode.
     pub token_discovery: TokenDiscovery,
-    /// Character-level tagging inference options (used in [`TokenDiscovery::Characters`]).
-    pub tag_config: TagInferConfig,
     /// Token inference options (used in [`TokenDiscovery::Tokens`]).
     pub token_config: TokenInferConfig,
-    /// VPA-learner options.
-    pub learner: SevpaLearnerConfig,
     /// Test-string pool options (simulated equivalence queries).
     pub test_pool: TestPoolConfig,
     /// Optional warm-start seed for the k-SEVPA observation structure:
@@ -358,9 +352,8 @@ impl VStar {
         let token_inference = vstar_telemetry::span("token-inference");
         let (tokenizer, tagged_alphabet, char_mode_tagging) = match self.config.token_discovery {
             TokenDiscovery::Characters => {
-                let tagging = tag_infer(mat, seeds, &self.config.tag_config).ok_or(
-                    VStarError::NoCompatibleTagging { max_k: self.config.tag_config.max_k },
-                )?;
+                let tagging = tag_infer(mat, seeds)
+                    .ok_or(VStarError::NoCompatibleTagging { max_k: TAG_INFER_MAX_K })?;
                 let tokenizer = PartialTokenizer::from_tagging(&tagging);
                 let alpha = TaggedAlphabet::new(tagging.clone(), alphabet.to_vec());
                 (tokenizer, alpha, Some(tagging))
@@ -400,8 +393,7 @@ impl VStar {
             TokenDiscovery::Characters => Box::new(move |w: &str| mat.member(w)),
             TokenDiscovery::Tokens => Box::new(move |w: &str| mat.member(&strip_markers(w))),
         };
-        let mut learner =
-            SevpaLearner::new(&membership, tagged_alphabet, self.config.learner.clone());
+        let mut learner = SevpaLearner::new(&membership, tagged_alphabet);
         if let Some(seed) = &self.config.hypothesis_seed {
             learner.seed_observations(seed);
         }

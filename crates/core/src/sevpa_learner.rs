@@ -87,20 +87,11 @@ impl TaggedAlphabet {
     }
 }
 
-/// Configuration for the [`SevpaLearner`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SevpaLearnerConfig {
-    /// Maximum number of counterexample rounds before giving up.
-    pub max_ce_rounds: usize,
-    /// Safety bound on the total number of states.
-    pub max_states: usize,
-}
+/// Maximum number of counterexample rounds before the [`SevpaLearner`] gives up.
+const MAX_CE_ROUNDS: usize = 200;
 
-impl Default for SevpaLearnerConfig {
-    fn default() -> Self {
-        SevpaLearnerConfig { max_ce_rounds: 200, max_states: 4000 }
-    }
-}
+/// Safety bound on the total number of states of the [`SevpaLearner`].
+const MAX_STATES: usize = 4000;
 
 /// A test word: a context `(u, v)`; the test of an access word `q` is the
 /// membership of `u · q · v`. Module 0 uses contexts with `u = ε`.
@@ -265,7 +256,6 @@ pub struct LearnerStats {
 pub struct SevpaLearner<'a> {
     member: &'a dyn Fn(&str) -> bool,
     alphabet: TaggedAlphabet,
-    config: SevpaLearnerConfig,
     modules: Vec<Module>,
     stats: LearnerStats,
     /// Decide equivalence by the table-free reference loop instead (tests only).
@@ -286,11 +276,7 @@ impl<'a> SevpaLearner<'a> {
     /// Creates a learner for the language decided by `member` (a membership function
     /// over strings in the tagged alphabet).
     #[must_use]
-    pub fn new(
-        member: &'a dyn Fn(&str) -> bool,
-        alphabet: TaggedAlphabet,
-        config: SevpaLearnerConfig,
-    ) -> Self {
+    pub fn new(member: &'a dyn Fn(&str) -> bool, alphabet: TaggedAlphabet) -> Self {
         let k = alphabet.tagging().pair_count();
         let ret_chars = alphabet.ret_chars();
         let call_chars = alphabet.call_chars();
@@ -313,7 +299,6 @@ impl<'a> SevpaLearner<'a> {
         SevpaLearner {
             member,
             alphabet,
-            config,
             modules,
             stats: LearnerStats::default(),
             #[cfg(test)]
@@ -397,7 +382,7 @@ impl<'a> SevpaLearner<'a> {
                             self.modules[module_idx].access.push(row);
                             added = true;
                             states += 1;
-                            if states >= self.config.max_states {
+                            if states >= MAX_STATES {
                                 return;
                             }
                         }
@@ -659,7 +644,7 @@ impl<'a> SevpaLearner<'a> {
             let _row_fill = vstar_telemetry::span("row-fill");
             self.close();
         }
-        for round in 0..self.config.max_ce_rounds {
+        for round in 0..MAX_CE_ROUNDS {
             vstar_telemetry::counter("learner.rounds", 1);
             let hypothesis = {
                 let _construct = vstar_telemetry::span("hypothesis-construction");
@@ -693,7 +678,7 @@ impl<'a> SevpaLearner<'a> {
                 }
             }
         }
-        Err(VStarError::LearnerDidNotConverge { rounds: self.config.max_ce_rounds })
+        Err(VStarError::LearnerDidNotConverge { rounds: MAX_CE_ROUNDS })
     }
 
     /// Journals the dimensions of a freshly constructed hypothesis: the
@@ -747,7 +732,7 @@ impl<'a> SevpaLearner<'a> {
                 break;
             }
             for access in &module_seed.access {
-                if self.state_count() >= self.config.max_states {
+                if self.state_count() >= MAX_STATES {
                     return admitted;
                 }
                 if self.modules[module_idx].is_access(access) {
@@ -859,8 +844,7 @@ mod tests {
     fn learns_dyck_exactly_with_bounded_equivalence() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&dyck, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -884,8 +868,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&lang, hyp, &alphabet, 7))
             .expect("learning succeeds");
@@ -904,8 +887,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = TaggedAlphabet::new(Tagging::new(), vec!['a', 'b']);
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&lang, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -940,8 +922,7 @@ mod tests {
     fn learns_two_pair_language() {
         let member: &dyn Fn(&str) -> bool = &two_pair;
         let alphabet = two_pair_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&two_pair, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -994,8 +975,7 @@ mod tests {
     fn fig1_language_is_learned_exactly() {
         let member: &dyn Fn(&str) -> bool = &fig1;
         let alphabet = fig1_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&fig1, hyp, &alphabet, 6))
             .expect("learning succeeds");
@@ -1021,8 +1001,7 @@ mod tests {
         };
         let mat = crate::Mat::new(&oracle);
         let member = |s: &str| mat.member(s);
-        let mut learner =
-            SevpaLearner::new(&member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(&member, alphabet.clone());
         learner.reference_equivalence = reference;
         let hyp = learner
             .learn(|hyp| exhaustive_disagreement(&lang, hyp, alphabet, max_len))
@@ -1056,8 +1035,7 @@ mod tests {
     fn seed_observations_admits_only_inequivalent_access_words() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let seed = ObservationSeed {
             modules: vec![
                 ModuleSeed {
@@ -1096,8 +1074,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let seed = ObservationSeed {
             modules: vec![ModuleSeed { access: vec!["x".into()], tests: Vec::new() }],
         };
@@ -1112,7 +1089,7 @@ mod tests {
     fn test_pool_equivalence_variant() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner = SevpaLearner::new(member, alphabet, SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet);
         // A pool rich enough to learn Dyck exactly.
         let pool: Vec<String> = vstar_vpl::words::all_strings(&['(', ')', 'x'], 6);
         let hyp = learner.learn_with_test_pool(&pool).expect("learning succeeds");
@@ -1125,8 +1102,7 @@ mod tests {
     fn stats_and_debug() {
         let member: &dyn Fn(&str) -> bool = &dyck;
         let alphabet = dyck_alphabet();
-        let mut learner =
-            SevpaLearner::new(member, alphabet.clone(), SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet.clone());
         let _ = learner.learn(|hyp| exhaustive_disagreement(&dyck, hyp, &alphabet, 5)).unwrap();
         assert!(learner.stats().equivalence_queries >= 1);
         assert!(format!("{learner:?}").contains("SevpaLearner"));
@@ -1140,7 +1116,7 @@ mod tests {
         }
         let member: &dyn Fn(&str) -> bool = &lang;
         let alphabet = dyck_alphabet();
-        let mut learner = SevpaLearner::new(member, alphabet, SevpaLearnerConfig::default());
+        let mut learner = SevpaLearner::new(member, alphabet);
         let result = learner.learn(|_| Some(")(".to_string()));
         assert!(matches!(result, Err(VStarError::IncompatibleCounterexample { .. })));
     }

@@ -11,23 +11,11 @@ use vstar_vpl::nested::{unmatched_call_positions, unmatched_return_positions};
 use vstar_vpl::Tagging;
 
 use crate::mat::Mat;
-use crate::nesting::{candidate_nesting, NestingConfig, NestingPattern};
+use crate::nesting::{candidate_nesting, NestingPattern};
 
-/// Configuration for [`tag_infer`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TagInferConfig {
-    /// Upper bound on the pumping bound `K` tried by the outer loop (the paper
-    /// starts at `K = 2` and increments; Theorem 4.3 guarantees a finite bound).
-    pub max_k: usize,
-    /// Limits for the nesting-pattern enumeration.
-    pub nesting: NestingConfig,
-}
-
-impl Default for TagInferConfig {
-    fn default() -> Self {
-        TagInferConfig { max_k: 3, nesting: NestingConfig::default() }
-    }
-}
+/// Upper bound on the pumping bound `K` tried by [`tag_infer`]'s outer loop (the
+/// paper starts at `K = 2` and increments; Theorem 4.3 guarantees a finite bound).
+pub(crate) const TAG_INFER_MAX_K: usize = 3;
 
 /// Is the tagging compatible with one nesting pattern (Definition 4.5)?
 ///
@@ -58,13 +46,13 @@ pub fn tagging_compatible(
 
 /// Infers a tagging compatible with the seed strings (Algorithm 3).
 ///
-/// Returns `None` if no compatible tagging exists for any `K ≤ config.max_k`.
+/// Returns `None` if no compatible tagging exists for any `K ≤ TAG_INFER_MAX_K`.
 /// An empty tagging (no call/return pairs at all) is returned when the seeds have
 /// no nesting patterns, i.e. when the oracle language looks regular.
 #[must_use]
-pub fn tag_infer(mat: &Mat<'_>, seeds: &[String], config: &TagInferConfig) -> Option<Tagging> {
-    for big_k in 2..=config.max_k.max(2) {
-        let patterns = candidate_nesting(mat, seeds, big_k, &config.nesting);
+pub fn tag_infer(mat: &Mat<'_>, seeds: &[String]) -> Option<Tagging> {
+    for big_k in 2..=TAG_INFER_MAX_K {
+        let patterns = candidate_nesting(mat, seeds, big_k);
         if let Some(t) = search(seeds, &patterns, &[], &Tagging::new()) {
             return Some(t);
         }
@@ -199,10 +187,10 @@ mod tests {
         let oracle = fig1_oracle;
         let mat = Mat::new(&oracle);
         let seeds = vec!["agcdcdhbcd".to_string()];
-        let tagging = tag_infer(&mat, &seeds, &TagInferConfig::default()).expect("tagging found");
+        let tagging = tag_infer(&mat, &seeds).expect("tagging found");
         // The inferred tagging must be compatible; the paper's preferred answer is
         // {(a,b)} (outermost pair), but any compatible tagging is acceptable.
-        let patterns = candidate_nesting(&mat, &seeds, 2, &NestingConfig::default());
+        let patterns = candidate_nesting(&mat, &seeds, 2);
         assert!(tagging_compatible(&tagging, &seeds, &patterns), "tagging {tagging} incompatible");
         assert!(!tagging.is_empty());
         // Outermost preference: the pair (a, b) is chosen for the outermost pattern.
@@ -217,7 +205,7 @@ mod tests {
         let oracle = dyck_oracle;
         let mat = Mat::new(&oracle);
         let seeds = vec!["(x(x))x".to_string()];
-        let tagging = tag_infer(&mat, &seeds, &TagInferConfig::default()).expect("tagging found");
+        let tagging = tag_infer(&mat, &seeds).expect("tagging found");
         assert_eq!(tagging.pairs(), &[('(', ')')]);
     }
 
@@ -231,7 +219,7 @@ mod tests {
         };
         let mat = Mat::new(&oracle);
         let seeds = vec!["abab".to_string()];
-        let tagging = tag_infer(&mat, &seeds, &TagInferConfig::default()).expect("tagging found");
+        let tagging = tag_infer(&mat, &seeds).expect("tagging found");
         assert!(tagging.is_empty());
     }
 
@@ -259,7 +247,7 @@ mod tests {
         let oracle_fn = oracle;
         let mat = Mat::new(&oracle_fn);
         let seeds = vec!["axb".to_string(), "cxd".to_string(), "acxdb".to_string()];
-        let tagging = tag_infer(&mat, &seeds, &TagInferConfig::default()).expect("tagging found");
+        let tagging = tag_infer(&mat, &seeds).expect("tagging found");
         assert_eq!(tagging.pair_count(), 2);
         assert!(tagging.pairs().contains(&('a', 'b')));
         assert!(tagging.pairs().contains(&('c', 'd')));

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::mat::Mat;
-use crate::nesting::{candidate_nesting, NestingConfig, NestingPattern};
+use crate::nesting::{candidate_nesting, NestingPattern};
 use crate::tokenizer::{PartialTokenizer, TokenMatcher, TokenPair};
 use vstar_automata::lstar::{learn_dfa, LStarConfig};
 use vstar_automata::Dfa;
@@ -26,35 +26,14 @@ use vstar_automata::Dfa;
 pub struct TokenInferConfig {
     /// Upper bound on the pumping bound `K` of `candidateNesting`.
     pub max_k: usize,
-    /// Limits for nesting-pattern enumeration.
-    pub nesting: NestingConfig,
     /// Whether multi-character token lexical rules are generalised with L\*
     /// (disabled, tokens stay literal strings).
     pub generalize: bool,
-    /// Maximum length of a candidate token occurrence considered inside `x`/`y`.
-    pub max_token_len: usize,
-    /// The `k` of the k-Repetition check used when tokenizing.
-    pub k_repetition: usize,
-    /// Rounds of overgeneralisation refinement applied after each L\* run.
-    pub refinement_rounds: usize,
-    /// Number of hypothesis samples drawn per refinement round.
-    pub refinement_samples: usize,
-    /// RNG seed for hypothesis sampling.
-    pub rng_seed: u64,
 }
 
 impl Default for TokenInferConfig {
     fn default() -> Self {
-        TokenInferConfig {
-            max_k: 3,
-            nesting: NestingConfig::default(),
-            generalize: true,
-            max_token_len: 12,
-            k_repetition: 2,
-            refinement_rounds: 4,
-            refinement_samples: 60,
-            rng_seed: 0x70ce,
-        }
+        TokenInferConfig { max_k: 3, generalize: true }
     }
 }
 
@@ -173,8 +152,8 @@ pub fn token_infer(
     config: &TokenInferConfig,
 ) -> Option<PartialTokenizer> {
     for big_k in 2..=config.max_k.max(2) {
-        let patterns = candidate_nesting(mat, seeds, big_k, &config.nesting);
-        let empty = PartialTokenizer::new().with_k_repetition(config.k_repetition);
+        let patterns = candidate_nesting(mat, seeds, big_k);
+        let empty = PartialTokenizer::new();
         if let Some(d) = token_search(mat, seeds, alphabet, &patterns, &[], &empty, config) {
             return Some(d);
         }
@@ -202,7 +181,7 @@ fn token_search(
         return token_search(mat, seeds, alphabet, rest, &done_plus, tokenizer, config);
     }
 
-    for (call_occ, ret_occ) in candidate_occurrences(pattern, config) {
+    for (call_occ, ret_occ) in candidate_occurrences(pattern) {
         let seed = pattern.seed();
         let call_lit = slice(&seed, call_occ);
         let ret_lit = slice(&seed, ret_occ);
@@ -210,9 +189,8 @@ fn token_search(
             continue;
         }
         // A real token occurrence must not be k-repeatable at its position.
-        if is_repeatable(mat, &seed, call_occ, config.k_repetition)
-            || is_repeatable(mat, &seed, ret_occ, config.k_repetition)
-        {
+        let k = tokenizer.k_repetition();
+        if is_repeatable(mat, &seed, call_occ, k) || is_repeatable(mat, &seed, ret_occ, k) {
             continue;
         }
         // Cheap screening with literal matchers before investing in L*
@@ -265,19 +243,19 @@ fn token_search(
     None
 }
 
+/// Maximum length of a candidate token occurrence considered inside `x`/`y`.
+const MAX_TOKEN_LEN: usize = 12;
+
 /// Candidate (call occurrence, return occurrence) ranges inside the `x`/`y` parts of
 /// a pattern, outermost/longest-first. Ranges are character ranges into the seed.
-fn candidate_occurrences(
-    pattern: &NestingPattern,
-    config: &TokenInferConfig,
-) -> Vec<((usize, usize), (usize, usize))> {
+fn candidate_occurrences(pattern: &NestingPattern) -> Vec<((usize, usize), (usize, usize))> {
     let (xs, xe) = pattern.x_range();
     let (ys, ye) = pattern.y_range();
     let subranges = |lo: usize, hi: usize| -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for start in lo..hi {
             for end in (start + 1..=hi).rev() {
-                if end - start <= config.max_token_len {
+                if end - start <= MAX_TOKEN_LEN {
                     out.push((start, end));
                 }
             }
@@ -309,7 +287,7 @@ fn is_repeatable(mat: &Mat<'_>, seed: &str, range: (usize, usize), k: usize) -> 
     let prefix: String = chars[..range.0].iter().collect();
     let body: String = chars[range.0..range.1].iter().collect();
     let suffix: String = chars[range.1..].iter().collect();
-    mat.member(&format!("{prefix}{}{suffix}", body.repeat(k.max(2))))
+    mat.member(&format!("{prefix}{}{suffix}", body.repeat(k)))
 }
 
 /// Builds the matcher for one token occurrence: a literal for single characters, an
@@ -326,11 +304,20 @@ fn build_matcher(
     if !config.generalize || lit.chars().count() <= 1 {
         return TokenMatcher::Literal(lit);
     }
-    match learn_token_dfa(mat, seeds, seed, occ, alphabet, config) {
+    match learn_token_dfa(mat, seeds, seed, occ, alphabet) {
         Some(dfa) if dfa.accepts(&lit) => TokenMatcher::Dfa(dfa),
         _ => TokenMatcher::Literal(lit),
     }
 }
+
+/// Rounds of overgeneralisation refinement applied after each L\* run.
+const REFINEMENT_ROUNDS: usize = 4;
+
+/// Number of hypothesis samples drawn per refinement round.
+const REFINEMENT_SAMPLES: usize = 60;
+
+/// RNG seed for hypothesis sampling.
+const REFINEMENT_RNG_SEED: u64 = 0x70ce;
 
 /// Learns the lexical rule of a token with L\* (paper Algorithm 4, line 6).
 ///
@@ -350,7 +337,6 @@ fn learn_token_dfa(
     seed: &str,
     occ: (usize, usize),
     alphabet: &[char],
-    config: &TokenInferConfig,
 ) -> Option<Dfa> {
     let chars: Vec<char> = seed.chars().collect();
     let occurrence: Vec<char> = chars[occ.0..occ.1].to_vec();
@@ -422,11 +408,11 @@ fn learn_token_dfa(
     tests.sort();
     tests.dedup();
 
-    let mut rng = StdRng::seed_from_u64(config.rng_seed);
+    let mut rng = StdRng::seed_from_u64(REFINEMENT_RNG_SEED);
     let mut dfa = learn_dfa(alphabet, &membership, &LStarConfig::with_test_strings(tests.clone()));
-    for _ in 0..config.refinement_rounds {
+    for _ in 0..REFINEMENT_ROUNDS {
         let mut new_counterexamples = Vec::new();
-        for sample in sample_dfa_members(&dfa, &mut rng, config.refinement_samples, max_len) {
+        for sample in sample_dfa_members(&dfa, &mut rng, REFINEMENT_SAMPLES, max_len) {
             if !membership(&sample) {
                 new_counterexamples.push(sample);
             }
@@ -614,9 +600,8 @@ mod tests {
         assert!(xml(seed));
         let alphabet: Vec<char> = vec!['<', '>', '/', 'a', 'b', 'c', 'd', 'e'];
         // Learn the lexical rule of the open tag directly.
-        let config = TokenInferConfig::default();
         let seeds = vec![seed.to_string()];
-        let dfa = learn_token_dfa(&mat, &seeds, seed, (0, 3), &alphabet, &config).unwrap();
+        let dfa = learn_token_dfa(&mat, &seeds, seed, (0, 3), &alphabet).unwrap();
         assert!(dfa.accepts("<a>"));
         assert!(dfa.accepts("<d>"));
         assert!(dfa.accepts("<ab>"));
@@ -624,7 +609,7 @@ mod tests {
         assert!(!dfa.accepts("</a>"));
         assert!(!dfa.accepts("<a"));
         // And the close tag.
-        let dfa_close = learn_token_dfa(&mat, &seeds, seed, (11, 15), &alphabet, &config).unwrap();
+        let dfa_close = learn_token_dfa(&mat, &seeds, seed, (11, 15), &alphabet).unwrap();
         assert!(dfa_close.accepts("</a>"));
         assert!(dfa_close.accepts("</db>"));
         assert!(!dfa_close.accepts("<a>"));
@@ -633,8 +618,7 @@ mod tests {
     #[test]
     fn candidate_occurrences_prefer_shortest() {
         let pattern = NestingPattern::new("<p>x</p>", (0, 3), (4, 8));
-        let config = TokenInferConfig::default();
-        let cands = candidate_occurrences(&pattern, &config);
+        let cands = candidate_occurrences(&pattern);
         // Shortest candidates first (single characters), whole-x/whole-y last.
         assert_eq!(cands[0].0 .1 - cands[0].0 .0, 1);
         assert_eq!(cands[0].1 .1 - cands[0].1 .0, 1);

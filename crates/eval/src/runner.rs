@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vstar::{Mat, VStar, VStarConfig, VStarResult};
-use vstar_baselines::{Arvada, ArvadaConfig, Glade, GladeConfig, LearnedGrammar};
+use vstar_baselines::{Arvada, Glade, LearnedGrammar};
 use vstar_oracles::Language;
 use vstar_parser::{CompileLearned, GrammarSampler};
 
@@ -26,12 +26,6 @@ pub struct EvalConfig {
     pub generation_budget: usize,
     /// RNG seed (datasets are deterministic given this seed).
     pub rng_seed: u64,
-    /// V-Star pipeline configuration.
-    pub vstar: VStarConfig,
-    /// GLADE-style baseline configuration.
-    pub glade: GladeConfig,
-    /// ARVADA-style baseline configuration.
-    pub arvada: ArvadaConfig,
 }
 
 impl Default for EvalConfig {
@@ -41,9 +35,6 @@ impl Default for EvalConfig {
             precision_samples: 200,
             generation_budget: 18,
             rng_seed: 0xEA11_5EED,
-            vstar: VStarConfig::default(),
-            glade: GladeConfig::default(),
-            arvada: ArvadaConfig::default(),
         }
     }
 }
@@ -110,7 +101,7 @@ pub fn evaluate_vstar(lang: &dyn Language, config: &EvalConfig) -> ToolRow {
     let oracle = |s: &str| lang.accepts(s);
     let mat = Mat::new(&oracle);
     let start = Instant::now();
-    let result = VStar::new(config.vstar.clone())
+    let result = VStar::new(VStarConfig::default())
         .learn(&mat, &lang.alphabet(), &seeds)
         .expect("V-Star learning should succeed on the bundled grammars");
     let learn_time = start.elapsed();
@@ -141,7 +132,7 @@ pub fn evaluate_glade(lang: &dyn Language, config: &EvalConfig) -> ToolRow {
     let seeds = lang.seeds();
     let oracle = |s: &str| lang.accepts(s);
     let start = Instant::now();
-    let glade = Glade::learn(&oracle, &seeds, &config.glade);
+    let glade = Glade::learn(&oracle, &seeds);
     let learn_time = start.elapsed();
     baseline_row("glade", &glade, lang, seeds.len(), learn_time.as_secs_f64(), config)
 }
@@ -152,7 +143,7 @@ pub fn evaluate_arvada(lang: &dyn Language, config: &EvalConfig) -> ToolRow {
     let seeds = lang.seeds();
     let oracle = |s: &str| lang.accepts(s);
     let start = Instant::now();
-    let arvada = Arvada::learn(&oracle, &seeds, &config.arvada);
+    let arvada = Arvada::learn(&oracle, &seeds);
     let learn_time = start.elapsed();
     baseline_row("arvada", &arvada, lang, seeds.len(), learn_time.as_secs_f64(), config)
 }
@@ -243,7 +234,7 @@ mod tests {
         let config = quick_config();
         let oracle = |s: &str| lang.accepts(s);
         let mat = Mat::new(&oracle);
-        let result = VStar::new(config.vstar.clone())
+        let result = VStar::new(VStarConfig::default())
             .learn(&mat, &lang.alphabet(), &lang.seeds())
             .expect("learning succeeds");
 

@@ -94,47 +94,42 @@ pub struct FuzzConfig {
     pub iterations: usize,
     /// Size budget for fresh top-level samples.
     pub sample_budget: usize,
-    /// Size budget for regrown/spliced fragments.
-    pub mutation_budget: usize,
-    /// Percentage of iterations that draw a fresh sample instead of mutating.
-    pub fresh_percent: u32,
-    /// Percentage of iterations that character-perturb a corpus yield
-    /// (stepping outside the grammar) instead of tree-mutating inside it.
-    pub perturb_percent: u32,
-    /// Cap on *distinct minimized* divergences kept (further divergent cases
-    /// are still classified and counted, but not minimized; see
-    /// [`CampaignReport::divergences_beyond_cap`]).
-    pub max_divergences: usize,
-    /// Cap on corpus derivations retained for mutation.
-    pub max_corpus_trees: usize,
-    /// Cap on `keep`-predicate evaluations per tree minimization.
-    pub minimizer_checks: usize,
-    /// In token mode, number of draws spent per iteration looking for a
-    /// generated derivation worth classifying: one whose raw yield the
-    /// compiled artifact re-accepts (the `conv ∘ strip` fixed points and
-    /// their servable closure) or the oracle accepts (a false negative).
-    /// Draws rejected by both sides are guaranteed agree-rejects — grammar
-    /// words that correspond to no servable input — and classifying them
-    /// wastes the iteration. `0` disables the filter.
-    pub fixed_point_attempts: usize,
 }
 
 impl Default for FuzzConfig {
     fn default() -> Self {
-        FuzzConfig {
-            seed: 42,
-            iterations: 500,
-            sample_budget: 24,
-            mutation_budget: 16,
-            fresh_percent: 20,
-            perturb_percent: 25,
-            max_divergences: 32,
-            max_corpus_trees: 256,
-            minimizer_checks: 400,
-            fixed_point_attempts: 8,
-        }
+        FuzzConfig { seed: 42, iterations: 500, sample_budget: 24 }
     }
 }
+
+/// Size budget for regrown/spliced fragments.
+const MUTATION_BUDGET: usize = 16;
+
+/// Percentage of iterations that draw a fresh sample instead of mutating.
+const FRESH_PERCENT: u32 = 20;
+
+/// Percentage of iterations that character-perturb a corpus yield (stepping
+/// outside the grammar) instead of tree-mutating inside it.
+const PERTURB_PERCENT: u32 = 25;
+
+/// Cap on *distinct minimized* divergences kept (further divergent cases are
+/// still classified and counted, but not minimized; see
+/// [`CampaignReport::divergences_beyond_cap`]).
+const MAX_DIVERGENCES: usize = 32;
+
+/// Cap on corpus derivations retained for mutation.
+const MAX_CORPUS_TREES: usize = 256;
+
+/// Cap on `keep`-predicate evaluations per tree minimization.
+const MINIMIZER_CHECKS: usize = 400;
+
+/// In token mode, number of draws spent per iteration looking for a generated
+/// derivation worth classifying: one whose raw yield the compiled artifact
+/// re-accepts (the `conv ∘ strip` fixed points and their servable closure) or
+/// the oracle accepts (a false negative). Draws rejected by both sides are
+/// guaranteed agree-rejects — grammar words that correspond to no servable
+/// input — and classifying them wastes the iteration.
+const FIXED_POINT_ATTEMPTS: usize = 8;
 
 /// One distinct (post-minimization) divergence found by a campaign.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -196,8 +191,8 @@ pub struct CampaignReport {
     pub corpus_trees: usize,
     /// Distinct minimized divergences, in discovery order.
     pub divergences: Vec<DivergenceCase>,
-    /// Divergent cases evaluated after [`FuzzConfig::max_divergences`] distinct
-    /// ones were already collected (counted in `counts`, not minimized).
+    /// Divergent cases evaluated after the campaign's cap on distinct
+    /// divergences was reached (counted in `counts`, not minimized).
     pub divergences_beyond_cap: usize,
 }
 
@@ -305,8 +300,7 @@ impl<'a> FuzzCampaign<'a> {
         // agree-rejects and are skipped instead of burning the iteration;
         // the two membership checks are deterministic, so determinism of the
         // campaign is untouched.
-        let filter_fixed_points =
-            self.learned.mode() == TokenDiscovery::Tokens && self.config.fixed_point_attempts > 0;
+        let filter_fixed_points = self.learned.mode() == TokenDiscovery::Tokens;
         let is_fixed_point = |t: &ParseTree| -> bool {
             let raw = self.learned.strip(&t.yielded());
             compiled.recognize(&raw) || self.oracle.accepts(&raw)
@@ -319,14 +313,12 @@ impl<'a> FuzzCampaign<'a> {
             // check can trust, so a tail of filtered-out draws still counts.
             iterations_run = iteration + 1;
             let draw = rng.gen_range(0..100u32);
-            let fresh = self.config.fresh_percent;
-            let perturb = fresh + self.config.perturb_percent;
-            let (label, tree, raw) = if st.corpus.is_empty() || draw < fresh {
+            let (label, tree, raw) = if st.corpus.is_empty() || draw < FRESH_PERCENT {
                 let sampled = if filter_fixed_points {
                     mutator.sampler().sample_tree_where(
                         &mut rng,
                         self.config.sample_budget,
-                        self.config.fixed_point_attempts,
+                        FIXED_POINT_ATTEMPTS,
                         is_fixed_point,
                     )
                 } else {
@@ -341,20 +333,17 @@ impl<'a> FuzzCampaign<'a> {
                 };
                 let raw = self.learned.strip(&t.yielded());
                 (MutationKind::FreshSample.label(), Some(t), raw)
-            } else if draw < perturb {
+            } else if draw < FRESH_PERCENT + PERTURB_PERCENT {
                 let t = st.corpus.choose(&mut rng).expect("corpus checked nonempty");
                 let member = self.learned.strip(&t.yielded());
                 let raw = mutator.perturb_chars(&member, &alphabet, &mut rng);
                 (MutationKind::PerturbChars.label(), None, raw)
             } else {
                 let t = st.corpus.choose(&mut rng).expect("corpus checked nonempty");
-                let attempts =
-                    if filter_fixed_points { self.config.fixed_point_attempts } else { 1 };
+                let attempts = if filter_fixed_points { FIXED_POINT_ATTEMPTS } else { 1 };
                 let mut found = None;
                 for _ in 0..attempts {
-                    if let Some((kind, t2)) =
-                        mutator.mutate(t, &mut rng, self.config.mutation_budget)
-                    {
+                    if let Some((kind, t2)) = mutator.mutate(t, &mut rng, MUTATION_BUDGET) {
                         if !filter_fixed_points || is_fixed_point(&t2) {
                             found = Some((kind, t2));
                             break;
@@ -426,7 +415,7 @@ impl<'a> FuzzCampaign<'a> {
                 );
             }
             let novel_shape = st.footprints.insert(fp);
-            if (new_bits > 0 || novel_shape) && st.corpus.len() < self.config.max_corpus_trees {
+            if (new_bits > 0 || novel_shape) && st.corpus.len() < MAX_CORPUS_TREES {
                 st.corpus.push(t);
             }
         }
@@ -443,7 +432,7 @@ impl<'a> FuzzCampaign<'a> {
             existing.occurrences += 1;
             return;
         }
-        if st.divergences.len() >= self.config.max_divergences {
+        if st.divergences.len() >= MAX_DIVERGENCES {
             st.beyond_cap += 1;
             return;
         }
@@ -478,7 +467,7 @@ impl<'a> FuzzCampaign<'a> {
             |s: &str| CaseClass::from_flags(compiled.recognize(s), self.oracle.accepts(s)) == class;
         let tree_minimized = if class == CaseClass::FalsePositive {
             compiled.parse(raw).ok().map(|t| {
-                let small = minimizer.minimize_tree(&t, self.config.minimizer_checks, |cand| {
+                let small = minimizer.minimize_tree(&t, MINIMIZER_CHECKS, |cand| {
                     keep_str(&self.learned.strip(&cand.yielded()))
                 });
                 self.learned.strip(&small.yielded())

@@ -12,8 +12,9 @@
 //! * [`Language::accepts`] — the membership oracle (what the black-box program answers),
 //! * [`Language::seeds`] — the seed strings given to the learners,
 //! * [`Language::generate`] — a random sentence generator used to build recall
-//!   datasets (the paper samples its recall datasets from the ARVADA artifact; we
-//!   sample from reference generators instead, see DESIGN.md §5),
+//!   datasets (the paper samples its recall datasets from the ARVADA artifact,
+//!   which is not bundled here, so each language samples from its own reference
+//!   generator instead),
 //! * [`Language::alphabet`] — the character alphabet Σ.
 //!
 //! [`CountingOracle`] wraps any membership function with caching and unique-query

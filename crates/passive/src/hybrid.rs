@@ -21,36 +21,17 @@
 
 use vstar::refine::CorpusEvidence;
 use vstar::token_infer::token_infer;
-use vstar::{Mat, RefineConfig, RefineLog, VStar, VStarConfig, VStarError, VStarResult};
+use vstar::{
+    Mat, RefineConfig, RefineLog, TokenInferConfig, VStar, VStarConfig, VStarError, VStarResult,
+};
 
 use crate::learner::{learn_from_converted, PassiveLearnerConfig, PassiveStats};
 
-/// Tuning knobs for [`learn_hybrid`].
-#[derive(Clone, Debug)]
-pub struct HybridConfig {
-    /// Base pipeline configuration (token-inference knobs, learner caps, …).
-    pub vstar: VStarConfig,
-    /// Refinement-loop configuration for the corpus-evidence rounds.
-    pub refine: RefineConfig,
-    /// Passive-construction knobs.
-    pub passive: PassiveLearnerConfig,
-    /// Per-module cap on seeded access words.
-    pub access_cap: usize,
-    /// Per-module cap on seeded test contexts.
-    pub test_cap: usize,
-}
+/// Per-module cap on seeded access words.
+const ACCESS_CAP: usize = 2;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            vstar: VStarConfig::default(),
-            refine: RefineConfig::default(),
-            passive: PassiveLearnerConfig::default(),
-            access_cap: 2,
-            test_cap: 1,
-        }
-    }
-}
+/// Per-module cap on seeded test contexts.
+const TEST_CAP: usize = 1;
 
 /// What a hybrid run produced, with enough bookkeeping to audit the warm
 /// start.
@@ -85,25 +66,25 @@ pub fn learn_hybrid(
     alphabet: &[char],
     seeds: &[String],
     corpus: &[String],
-    config: &HybridConfig,
 ) -> Result<HybridOutcome, VStarError> {
     for word in corpus {
         mat.assume(word, true);
     }
 
-    let tokenizer = token_infer(mat, seeds, alphabet, &config.vstar.token_config)
-        .ok_or(VStarError::NoCompatibleTagging { max_k: config.vstar.token_config.max_k })?;
+    let token_config = TokenInferConfig::default();
+    let tokenizer = token_infer(mat, seeds, alphabet, &token_config)
+        .ok_or(VStarError::NoCompatibleTagging { max_k: token_config.max_k })?;
     let tagging = tokenizer.marker_tagging();
     let converted: Vec<String> = corpus.iter().map(|w| tokenizer.convert(mat, w)).collect();
-    let passive = learn_from_converted(&converted, &tagging, &config.passive);
-    let seed = passive.observation_seed(config.access_cap, config.test_cap);
+    let passive = learn_from_converted(&converted, &tagging, &PassiveLearnerConfig::default());
+    let seed = passive.observation_seed(ACCESS_CAP, TEST_CAP);
     let seeded_access_words = seed.access_words();
     let seeded_tests = seed.tests();
 
     let vstar_config = VStarConfig {
         tokenizer_override: Some(tokenizer),
         hypothesis_seed: Some(seed),
-        ..config.vstar.clone()
+        ..VStarConfig::default()
     };
     let mut evidence = CorpusEvidence::new(corpus.to_vec());
     let (result, log) = VStar::new(vstar_config).learn_refined(
@@ -111,7 +92,7 @@ pub fn learn_hybrid(
         alphabet,
         seeds,
         &mut evidence,
-        config.refine.clone(),
+        RefineConfig::default(),
     )?;
     Ok(HybridOutcome {
         result,

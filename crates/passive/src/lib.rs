@@ -20,11 +20,11 @@
 //!   corpus as refinement evidence.
 //!
 //! ```
-//! use vstar_passive::{learn_passive, PassiveConfig};
+//! use vstar_passive::learn_passive;
 //!
 //! let corpus: Vec<String> =
 //!     ["(a)", "((a)b)", "(ab)"].iter().map(|s| (*s).to_string()).collect();
-//! let result = learn_passive(&corpus, &PassiveConfig::default());
+//! let result = learn_passive(&corpus);
 //! assert_eq!(result.pairs, vec![('(', ')')]);
 //! for word in &corpus {
 //!     assert!(result.accepts_raw(word));
@@ -43,19 +43,10 @@ pub mod reinfer;
 pub mod structure;
 
 pub use convert::{marker_tagging, passive_convert, Conversion};
-pub use hybrid::{learn_hybrid, HybridConfig, HybridOutcome};
+pub use hybrid::{learn_hybrid, HybridOutcome};
 pub use learner::{learn_from_converted, PassiveAutomaton, PassiveLearnerConfig, PassiveStats};
-pub use reinfer::{repair_with_corpus, ReinferConfig, ReinferReport, RepairedLearning};
-pub use structure::{infer_char_pairs, StructureConfig};
-
-/// Tuning knobs for the pure-passive pipeline ([`learn_passive`]).
-#[derive(Clone, Debug, Default)]
-pub struct PassiveConfig {
-    /// Character-pair inference knobs.
-    pub structure: StructureConfig,
-    /// Merging knobs.
-    pub learner: PassiveLearnerConfig,
-}
+pub use reinfer::{repair_with_corpus, ReinferReport, RepairedLearning};
+pub use structure::infer_char_pairs;
 
 /// A pure-passive learning result: inferred pairs plus the merged automaton.
 #[derive(Clone, Debug)]
@@ -86,8 +77,8 @@ impl PassiveResult {
 /// Learns a language from a positive corpus alone: structure inference,
 /// conversion, merged construction.
 #[must_use]
-pub fn learn_passive(corpus: &[String], config: &PassiveConfig) -> PassiveResult {
-    let pairs = infer_char_pairs(corpus, &config.structure);
+pub fn learn_passive(corpus: &[String]) -> PassiveResult {
+    let pairs = infer_char_pairs(corpus);
     let tagging = marker_tagging(&pairs);
     let mut demoted = 0usize;
     let converted: Vec<String> = corpus
@@ -98,7 +89,7 @@ pub fn learn_passive(corpus: &[String], config: &PassiveConfig) -> PassiveResult
             conv.converted
         })
         .collect();
-    let automaton = learn_from_converted(&converted, &tagging, &config.learner);
+    let automaton = learn_from_converted(&converted, &tagging, &PassiveLearnerConfig::default());
     PassiveResult { pairs, automaton, demoted_occurrences: demoted }
 }
 
@@ -123,7 +114,7 @@ mod tests {
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-        let result = learn_passive(&corpus, &PassiveConfig::default());
+        let result = learn_passive(&corpus);
         assert!(!result.pairs.is_empty());
         for word in &corpus {
             assert!(result.accepts_raw(word), "training word {word:?} rejected");
@@ -136,7 +127,7 @@ mod tests {
     fn corpus_without_nesting_degenerates_to_finite_state() {
         let corpus: Vec<String> =
             ["ab", "abab", "ababab"].iter().map(|s| (*s).to_string()).collect();
-        let result = learn_passive(&corpus, &PassiveConfig::default());
+        let result = learn_passive(&corpus);
         assert!(result.pairs.is_empty());
         assert_eq!(result.automaton.vpa.tagging().pair_count(), 0);
         for word in &corpus {

@@ -24,29 +24,13 @@
 use serde::Serialize;
 use vstar::refine::CorpusEvidence;
 use vstar::token_infer::token_infer;
-use vstar::{Mat, RefineConfig, RefineLog, VStar, VStarConfig, VStarError, VStarResult};
+use vstar::{
+    Mat, RefineConfig, RefineLog, TokenInferConfig, VStar, VStarConfig, VStarError, VStarResult,
+};
 
-/// Tuning knobs for [`repair_with_corpus`].
-#[derive(Clone, Debug)]
-pub struct ReinferConfig {
-    /// Base pipeline configuration for the repaired run.
-    pub vstar: VStarConfig,
-    /// Refinement-loop configuration for the repaired run.
-    pub refine: RefineConfig,
-    /// Cap on rejected corpus members promoted to token-inference seeds
-    /// (re-inference cost grows with the seed set).
-    pub max_reseeds: usize,
-}
-
-impl Default for ReinferConfig {
-    fn default() -> Self {
-        ReinferConfig {
-            vstar: VStarConfig::default(),
-            refine: RefineConfig::default(),
-            max_reseeds: 12,
-        }
-    }
-}
+/// Cap on rejected corpus members promoted to token-inference seeds
+/// (re-inference cost grows with the seed set).
+const MAX_RESEEDS: usize = 12;
 
 /// What the re-inference diagnosis saw, for benches and analysis cards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -93,7 +77,6 @@ pub fn repair_with_corpus(
     seeds: &[String],
     base: &VStarResult,
     corpus: &[String],
-    config: &ReinferConfig,
 ) -> Result<Option<RepairedLearning>, VStarError> {
     let rejected: Vec<&String> = corpus.iter().filter(|w| !base.accepts(mat, w)).collect();
     if rejected.is_empty() {
@@ -103,12 +86,12 @@ pub fn repair_with_corpus(
         rejected.iter().filter(|w| !base.tokenizer.converts_to_well_matched(mat, w)).count();
 
     let mut reseed: Vec<String> = seeds.to_vec();
-    for w in rejected.iter().filter(|w| mat.member(w)).take(config.max_reseeds) {
+    for w in rejected.iter().filter(|w| mat.member(w)).take(MAX_RESEEDS) {
         if !reseed.contains(*w) {
             reseed.push((*w).clone());
         }
     }
-    let repaired_tokenizer = token_infer(mat, &reseed, alphabet, &config.vstar.token_config)
+    let repaired_tokenizer = token_infer(mat, &reseed, alphabet, &TokenInferConfig::default())
         .unwrap_or_else(|| base.tokenizer.clone());
     let tokenizer_changed = repaired_tokenizer.to_string() != base.tokenizer.to_string();
     let report = ReinferReport {
@@ -120,14 +103,14 @@ pub fn repair_with_corpus(
     };
 
     let vstar_config =
-        VStarConfig { tokenizer_override: Some(repaired_tokenizer), ..config.vstar.clone() };
+        VStarConfig { tokenizer_override: Some(repaired_tokenizer), ..VStarConfig::default() };
     let mut evidence = CorpusEvidence::new(corpus.to_vec());
     let (result, log) = VStar::new(vstar_config).learn_refined(
         mat,
         alphabet,
         seeds,
         &mut evidence,
-        config.refine.clone(),
+        RefineConfig::default(),
     )?;
     Ok(Some(RepairedLearning { result, log, report }))
 }

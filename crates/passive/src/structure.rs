@@ -10,7 +10,7 @@
 //! them at depth ≥ 2 (depth-1 "pairs" are indistinguishable from alternating
 //! plain tokens, e.g. `:` and `,` in JSON).
 //!
-//! The tolerance `min_fraction` exists because real corpora are noisy in
+//! The tolerance `MIN_FRACTION` exists because real corpora are noisy in
 //! exactly the way the paper's tokenizer section predicts: a JSON corpus
 //! contains `"}"` *inside string literals*, so `('{', '}')` does not balance
 //! in every member. Words that fail the balance scan are handled later by the
@@ -25,23 +25,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Tuning knobs for [`infer_char_pairs`].
-#[derive(Clone, Debug)]
-pub struct StructureConfig {
-    /// Fraction of pair-relevant corpus words that must pass the balance scan
-    /// for the pair to qualify (`0.9` tolerates string-literal noise).
-    pub min_fraction: f64,
-    /// Minimum number of corpus words that nest the pair at depth ≥ 2.
-    pub min_depth_evidence: usize,
-    /// Maximum number of pairs to select.
-    pub max_pairs: usize,
-}
+/// Fraction of pair-relevant corpus words that must pass the balance scan for
+/// the pair to qualify (`0.9` tolerates string-literal noise).
+const MIN_FRACTION: f64 = 0.9;
 
-impl Default for StructureConfig {
-    fn default() -> Self {
-        StructureConfig { min_fraction: 0.9, min_depth_evidence: 1, max_pairs: 4 }
-    }
-}
+/// Minimum number of corpus words that nest the pair at depth ≥ 2.
+const MIN_DEPTH_EVIDENCE: usize = 1;
+
+/// Maximum number of pairs [`infer_char_pairs`] selects.
+const MAX_PAIRS: usize = 4;
 
 /// Per-candidate balance evidence, used for deterministic ranking.
 #[derive(Clone, Copy, Debug, Default)]
@@ -89,7 +81,7 @@ fn scan_word(word: &str, call: char, ret: char) -> (bool, bool) {
 /// given corpus. An empty result means the corpus exhibits no character-level
 /// nesting — the passive learner then treats every character as plain.
 #[must_use]
-pub fn infer_char_pairs(corpus: &[String], config: &StructureConfig) -> Vec<(char, char)> {
+pub fn infer_char_pairs(corpus: &[String]) -> Vec<(char, char)> {
     let mut alphabet: BTreeSet<char> = BTreeSet::new();
     for word in corpus {
         alphabet.extend(word.chars());
@@ -123,8 +115,8 @@ pub fn infer_char_pairs(corpus: &[String], config: &StructureConfig) -> Vec<(cha
                 }
             }
             let enough = ev.relevant > 0
-                && ev.deep >= config.min_depth_evidence
-                && (ev.consistent as f64) >= config.min_fraction * (ev.relevant as f64);
+                && ev.deep >= MIN_DEPTH_EVIDENCE
+                && (ev.consistent as f64) >= MIN_FRACTION * (ev.relevant as f64);
             if enough {
                 scored.insert((call, ret), ev);
             }
@@ -145,7 +137,7 @@ pub fn infer_char_pairs(corpus: &[String], config: &StructureConfig) -> Vec<(cha
     let mut used: BTreeSet<char> = BTreeSet::new();
     let mut pairs = Vec::new();
     for ((call, ret), _) in ranked {
-        if pairs.len() >= config.max_pairs {
+        if pairs.len() >= MAX_PAIRS {
             break;
         }
         if used.contains(&call) || used.contains(&ret) {
@@ -169,7 +161,7 @@ mod tests {
     #[test]
     fn finds_nested_parentheses() {
         let c = corpus(&["(x)", "((x)x)", "(()())", "x", "((x))"]);
-        let pairs = infer_char_pairs(&c, &StructureConfig::default());
+        let pairs = infer_char_pairs(&c);
         assert_eq!(pairs, vec![('(', ')')]);
     }
 
@@ -177,7 +169,7 @@ mod tests {
     fn rejects_alternating_tokens_without_nesting() {
         // ':' and ',' alternate (balance-consistent at depth 1) but never nest.
         let c = corpus(&[":,", ":,:,", ":,:,:,"]);
-        let pairs = infer_char_pairs(&c, &StructureConfig::default());
+        let pairs = infer_char_pairs(&c);
         assert!(pairs.is_empty(), "{pairs:?}");
     }
 
@@ -186,14 +178,14 @@ mod tests {
         // One word breaks the balance ('}' inside a "string"); nine don't.
         let mut words = vec!["{\"a\":{\"b\":1}}".to_owned(); 9];
         words.push("{\"}\":1}".to_owned());
-        let pairs = infer_char_pairs(&words, &StructureConfig::default());
+        let pairs = infer_char_pairs(&words);
         assert_eq!(pairs, vec![('{', '}')]);
     }
 
     #[test]
     fn selected_pairs_have_disjoint_characters() {
         let c = corpus(&["{[{[]}]}", "[]", "{}", "[[{}]]"]);
-        let pairs = infer_char_pairs(&c, &StructureConfig::default());
+        let pairs = infer_char_pairs(&c);
         assert!(pairs.len() >= 2, "{pairs:?}");
         let mut seen = BTreeSet::new();
         for (a, b) in &pairs {
@@ -206,6 +198,6 @@ mod tests {
 
     #[test]
     fn empty_corpus_yields_no_pairs() {
-        assert!(infer_char_pairs(&[], &StructureConfig::default()).is_empty());
+        assert!(infer_char_pairs(&[]).is_empty());
     }
 }

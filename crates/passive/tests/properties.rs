@@ -26,7 +26,7 @@ use vstar::tokenizer::strip_markers;
 use vstar::{Mat, RefineConfig, VStar, VStarConfig, VStarResult};
 use vstar_oracles::table1_languages;
 use vstar_parser::GrammarSampler;
-use vstar_passive::{learn_passive, PassiveConfig};
+use vstar_passive::learn_passive;
 
 /// Sentence-size budget for sampling (matches the bench corpora).
 const SAMPLE_BUDGET: usize = 18;
@@ -93,7 +93,7 @@ proptest! {
         let (name, result) = &grammars[(seed % grammars.len() as u64) as usize];
         let size = 20 + (seed / grammars.len() as u64 % 41) as usize;
         let corpus = sample_raw_corpus(result, seed, size);
-        let passive = learn_passive(&corpus, &PassiveConfig::default());
+        let passive = learn_passive(&corpus);
         prop_assert_eq!(passive.automaton.stats.skipped_ill_matched, 0);
         for word in &corpus {
             prop_assert!(
@@ -119,7 +119,7 @@ proptest! {
         let held_out = sample_raw_corpus(result, seed ^ 0x5A5A_5A5A, 60);
         let mut previous = 0usize;
         for size in [12usize, 24, 48, 96] {
-            let passive = learn_passive(&pool[..size], &PassiveConfig::default());
+            let passive = learn_passive(&pool[..size]);
             let accepted = held_out.iter().filter(|w| passive.accepts_raw(w)).count();
             prop_assert!(
                 accepted >= previous,

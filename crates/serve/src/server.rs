@@ -213,6 +213,34 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
     Ok(())
 }
 
+/// Records one answered request — in its metrics shard and in the access
+/// log — and returns its verdict reply.
+fn finish_request(
+    shared: &Shared,
+    label: &str,
+    shard: &MetricsShard,
+    entry: &GrammarEntry,
+    bytes: u64,
+    accepted: bool,
+    wall_us: u64,
+) -> Vec<u8> {
+    shard.record_request(bytes, accepted, wall_us);
+    shared.access_log.access(
+        &entry.name,
+        entry.version,
+        label,
+        accepted,
+        bytes,
+        wall_us,
+        shared.registry.generation(),
+    );
+    if accepted {
+        b"+accept".to_vec()
+    } else {
+        b"+reject".to_vec()
+    }
+}
+
 /// Dispatches one client frame; `None` means no reply (data frames).
 fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
     let Some((&opcode, tail)) = payload.split_first() else {
@@ -284,20 +312,18 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
                 .started
                 .take()
                 .map_or(0, |t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX));
-            let bytes = session.bytes;
-            session.shard.record_request(bytes, accepted, wall_us);
-            conn.shared.access_log.access(
-                &session.entry.name,
-                session.entry.version,
+            let reply = finish_request(
+                conn.shared,
                 &conn.label,
+                &session.shard,
+                &session.entry,
+                session.bytes,
                 accepted,
-                bytes,
                 wall_us,
-                conn.shared.registry.generation(),
             );
             session.state.reset();
             session.bytes = 0;
-            Some(if accepted { b"+accept".to_vec() } else { b"+reject".to_vec() })
+            Some(reply)
         }
         op::QUERY => {
             conn.label_locked = true;
@@ -316,19 +342,9 @@ fn dispatch(conn: &mut Connection<'_>, payload: &[u8]) -> Option<Vec<u8>> {
             let started = Instant::now();
             let accepted = entry.grammar.recognize(input);
             let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let shard = conn.shard(name);
             let bytes = input.len() as u64;
-            let name_owned = name.to_string();
-            conn.shard(&name_owned).record_request(bytes, accepted, wall_us);
-            conn.shared.access_log.access(
-                &entry.name,
-                entry.version,
-                &conn.label,
-                accepted,
-                bytes,
-                wall_us,
-                conn.shared.registry.generation(),
-            );
-            Some(if accepted { b"+accept".to_vec() } else { b"+reject".to_vec() })
+            Some(finish_request(conn.shared, &conn.label, &shard, &entry, bytes, accepted, wall_us))
         }
         op::ADMIN => match tail {
             b"/healthz" => Some(

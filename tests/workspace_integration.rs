@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use vstar::{Mat, TokenDiscovery, VStar, VStarConfig};
-use vstar_baselines::{Glade, GladeConfig, LearnedGrammar};
+use vstar_baselines::{Glade, LearnedGrammar};
 use vstar_eval::{evaluate_glade, evaluate_vstar, EvalConfig, Table1Report};
 use vstar_oracles::{Fig1, Language, Lisp, ToyXml};
 use vstar_vpl::vpa_to_vpg;
@@ -86,7 +86,7 @@ fn vstar_outperforms_glade_on_recursive_language() {
 fn baseline_trait_object_usage() {
     let lang = Lisp::new();
     let oracle = |s: &str| lang.accepts(s);
-    let glade = Glade::learn(&oracle, &lang.seeds(), &GladeConfig::default());
+    let glade = Glade::learn(&oracle, &lang.seeds());
     let learned: &dyn LearnedGrammar = &glade;
     for s in lang.seeds() {
         assert!(learned.accepts(&s));
