@@ -408,6 +408,7 @@ mod tests {
     #[test]
     fn duplicate_pair_matchers_are_flagged() {
         use vstar::{LearnedLanguage, PartialTokenizer, TokenDiscovery, TokenPair};
+        use vstar_parser::CompileLearned;
 
         // A grammar over two marker pairs whose underlying call tokens are the
         // same literal — the tokenizer cannot tell the pairs apart.
@@ -435,7 +436,7 @@ mod tests {
         let vpa = vb.build().unwrap();
 
         let lang = LearnedLanguage::new(vpa, vpg, tokenizer, TokenDiscovery::Tokens);
-        let cg = CompiledGrammar::from_learned(&lang).unwrap();
+        let cg = lang.compile().unwrap();
         let report = analyze_compiled(&cg);
         assert!(report.has("CMP005"), "{:?}", report.diagnostics);
     }

@@ -15,16 +15,16 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin analyze -- \
-//!     [grammar ...] [--seed N] [--refine-iterations N] \
-//!     [--max-campaigns N] [--budget N] [--check] [--json]
+//!     [grammar ...] [--seed N] [--refine-iterations N] [--check] [--json]
 //! ```
 //!
 //! Defaults: all five grammars, `--seed 42`, `--refine-iterations 300`
 //! (matching the `refine` binary's tracked configuration, so the analyzed
-//! grammars are the same artifacts `BENCH_refine.json` tracks),
-//! `--max-campaigns 40`, `--budget 24`. The run is fully deterministic;
-//! `BENCH_analyze.json` is only (re)written by a full-grammar-set run at the
-//! default configuration.
+//! grammars are the same artifacts `BENCH_refine.json` tracks). Like the
+//! `refine` binary, the in-loop campaigns sample with a budget of 24 and a
+//! loop runs at most `RefineConfig::default().max_campaigns` (40) evidence
+//! rounds. The run is fully deterministic; `BENCH_analyze.json` is only
+//! (re)written by a full-grammar-set run at the default configuration.
 //!
 //! `--check` turns the run into the CI analysis gate: the process exits
 //! nonzero when any refined grammar lints at warn-or-worse severity, when a
@@ -58,8 +58,6 @@ const DEFAULT_SEED: u64 = 42;
 /// In-loop campaign iterations (must match the `refine` binary so the
 /// analyzed grammars are the tracked refined artifacts).
 const DEFAULT_REFINE_ITERATIONS: usize = REFINE_MIN_ITERATIONS;
-/// Evidence-round budget of one refinement loop.
-const DEFAULT_MAX_CAMPAIGNS: usize = 40;
 /// Sample budget of the in-loop campaigns.
 const DEFAULT_BUDGET: usize = 24;
 /// Corpus size of the per-grammar passive construction the passive lint pass
@@ -69,8 +67,7 @@ const PASSIVE_CORPUS_SIZE: usize = 120;
 /// binary's generation budget).
 const PASSIVE_CORPUS_BUDGET: usize = 18;
 
-const USAGE: &str = "analyze [grammar ...] [--seed N] [--refine-iterations N] \
-                     [--max-campaigns N] [--budget N] [--check] [--json]";
+const USAGE: &str = "analyze [grammar ...] [--seed N] [--refine-iterations N] [--check] [--json]";
 
 /// Findings-by-severity accounting for one report.
 #[derive(Serialize)]
@@ -126,26 +123,17 @@ struct AnalyzeBenchReport {
 }
 
 fn main() {
-    let args = Args::parse_or_exit(
-        USAGE,
-        &["seed", "refine-iterations", "max-campaigns", "budget"],
-        &["check", "json"],
-    );
+    let args = Args::parse_or_exit(USAGE, &["seed", "refine-iterations"], &["check", "json"]);
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let refine_iterations: usize =
         args.parsed("refine-iterations", DEFAULT_REFINE_ITERATIONS).unwrap_or_else(|e| fail(e));
-    let max_campaigns: usize =
-        args.parsed("max-campaigns", DEFAULT_MAX_CAMPAIGNS).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let selection = args.languages().unwrap_or_else(|e| fail(e));
-    let tracked_config = seed == DEFAULT_SEED
-        && refine_iterations == DEFAULT_REFINE_ITERATIONS
-        && max_campaigns == DEFAULT_MAX_CAMPAIGNS
-        && budget == DEFAULT_BUDGET;
+    let tracked_config = seed == DEFAULT_SEED && refine_iterations == DEFAULT_REFINE_ITERATIONS;
 
-    let loop_config = FuzzConfig { seed, iterations: refine_iterations, sample_budget: budget };
-    let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
+    let loop_config =
+        FuzzConfig { seed, iterations: refine_iterations, sample_budget: DEFAULT_BUDGET };
+    let refine_config = RefineConfig::default();
 
     let mut grammars: Vec<GrammarAnalyzeReport> = Vec::new();
     // The first analyzed language doubles as the blindness self-check
@@ -219,7 +207,12 @@ fn main() {
         );
     }
 
-    let bench = AnalyzeBenchReport { seed, refine_iterations, max_campaigns, grammars };
+    let bench = AnalyzeBenchReport {
+        seed,
+        refine_iterations,
+        max_campaigns: refine_config.max_campaigns,
+        grammars,
+    };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");
     write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {

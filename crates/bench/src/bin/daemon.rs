@@ -16,11 +16,12 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin daemon -- \
-//!     [grammar ...] [--seed N] [--clients N] [--samples N] [--budget N] [--check] [--json]
+//!     [grammar ...] [--seed N] [--clients N] [--samples N] [--check] [--json]
 //! ```
 //!
-//! Defaults: all five grammars, `--seed 42`, `--clients 4`, `--samples 30`,
-//! `--budget 24`. A full-set run at the default configuration rewrites the
+//! Defaults: all five grammars, `--seed 42`, `--clients 4`, `--samples 30`;
+//! corpus words are sampled with a budget of 24. A full-set run at the
+//! default configuration rewrites the
 //! tracked `BENCH_daemon.json`. Corpus shapes, verdicts, request/byte counts
 //! and artifact fingerprints are deterministic for a fixed seed; request
 //! latency quantiles are wall-clock and go to **stderr** only (the
@@ -56,7 +57,7 @@ const DEFAULT_SAMPLES: usize = 30;
 const DEFAULT_BUDGET: usize = 24;
 
 const USAGE: &str =
-    "daemon [grammar ...] [--seed N] [--clients N] [--samples N] [--budget N] [--check] [--json]";
+    "daemon [grammar ...] [--seed N] [--clients N] [--samples N] [--check] [--json]";
 
 /// One grammar's serving plan: the published artifact plus the deterministic
 /// corpus and its locally precomputed expected verdicts.
@@ -137,21 +138,17 @@ fn stream_input(client: &mut Client, input: &str, rng: &mut StdRng) -> bool {
 }
 
 fn main() {
-    let args =
-        Args::parse_or_exit(USAGE, &["seed", "clients", "samples", "budget"], &["check", "json"]);
+    let args = Args::parse_or_exit(USAGE, &["seed", "clients", "samples"], &["check", "json"]);
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let clients: usize = args.parsed("clients", DEFAULT_CLIENTS).unwrap_or_else(|e| fail(e));
     let samples: usize = args.parsed("samples", DEFAULT_SAMPLES).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     if clients == 0 {
         fail("--clients must be at least 1".to_string());
     }
     let selection = args.languages().unwrap_or_else(|e| fail(e));
-    let tracked_config = seed == DEFAULT_SEED
-        && clients == DEFAULT_CLIENTS
-        && samples == DEFAULT_SAMPLES
-        && budget == DEFAULT_BUDGET;
+    let tracked_config =
+        seed == DEFAULT_SEED && clients == DEFAULT_CLIENTS && samples == DEFAULT_SAMPLES;
 
     // Learn every grammar through its own counting oracle. The oracles stay
     // alive across the serving run: the gate re-reads them afterwards to
@@ -170,7 +167,7 @@ fn main() {
         let learn_unique_queries = oracle.unique_queries();
         let compiled = learned.compile().expect("learned grammars compile");
 
-        let words = sample_corpus(learned.vpg(), seed, budget, samples);
+        let words = sample_corpus(learned.vpg(), seed, DEFAULT_BUDGET, samples);
         let raws: Vec<String> = words.iter().map(|w| learned.strip(w)).collect();
         let raw_expect: Vec<bool> = raws.iter().map(|r| compiled.recognize(r)).collect();
 
@@ -347,7 +344,7 @@ fn main() {
         seed,
         clients,
         samples,
-        budget,
+        budget: DEFAULT_BUDGET,
         rows,
         reload_grammar: plans[0].name.clone(),
         reload_hash_stable: audit.last().is_some_and(|a| a.old_hash == Some(a.new_hash)),

@@ -13,12 +13,12 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin fuzz -- \
-//!     [grammar ...] [--seed N] [--iterations N] [--budget N] \
-//!     [--corpus DIR] [--check] [--json]
+//!     [grammar ...] [--seed N] [--iterations N] [--corpus DIR] [--check] [--json]
 //! ```
 //!
 //! Defaults: all five grammars (json lisp xml while mathexpr), `--seed 42`,
-//! `--iterations 300`, `--budget 24`, `--corpus FUZZ_corpus`. The run is fully
+//! `--iterations 300`, `--corpus FUZZ_corpus`; every campaign samples with a
+//! budget of 24. The run is fully
 //! deterministic: the same seed produces a byte-identical `BENCH_fuzz.json`
 //! and corpus tree. `BENCH_fuzz.json` is only written when the run covers all
 //! five grammars *at the default configuration*, so partial or overridden
@@ -41,7 +41,7 @@ use vstar_bench::{learn_refined_language, unexpected_divergence_classes, REFINE_
 use vstar_fuzz::{corpus::write_corpus, CampaignReport, FuzzCampaign, FuzzConfig};
 
 /// File the machine-readable report is written to (current directory). Only
-/// a full-grammar-set run at exactly the default seed/iterations/budget
+/// a full-grammar-set run at exactly the default seed and iterations
 /// rewrites it, so ad-hoc and CI-smoke invocations never clobber the tracked
 /// numbers.
 const JSON_REPORT_PATH: &str = "BENCH_fuzz.json";
@@ -51,11 +51,11 @@ const JSON_REPORT_PATH: &str = "BENCH_fuzz.json";
 const DEFAULT_SEED: u64 = 42;
 /// See [`DEFAULT_SEED`].
 const DEFAULT_ITERATIONS: usize = 300;
-/// See [`DEFAULT_SEED`].
+/// Sample budget of every campaign.
 const DEFAULT_BUDGET: usize = 24;
 
-const USAGE: &str = "fuzz [grammar ...] [--seed N] [--iterations N] [--budget N] \
-                     [--corpus DIR] [--check] [--json]";
+const USAGE: &str = "fuzz [grammar ...] [--seed N] [--iterations N] [--corpus DIR] [--check] \
+                     [--json]";
 
 /// The tracked machine-readable summary: configuration plus one report per
 /// campaign. Deliberately contains no wall-clock fields so that reruns with
@@ -68,28 +68,25 @@ struct FuzzBenchReport {
 }
 
 fn main() {
-    let args =
-        Args::parse_or_exit(USAGE, &["seed", "iterations", "budget", "corpus"], &["check", "json"]);
+    let args = Args::parse_or_exit(USAGE, &["seed", "iterations", "corpus"], &["check", "json"]);
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let iterations: usize =
         args.parsed("iterations", DEFAULT_ITERATIONS).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let corpus_dir = args.value("corpus").unwrap_or("FUZZ_corpus").to_string();
     let selection = args.languages().unwrap_or_else(|e| fail(e));
     // The committed report is generated at exactly the default configuration;
-    // any override must not clobber it with numbers from a different budget.
-    let tracked_config =
-        seed == DEFAULT_SEED && iterations == DEFAULT_ITERATIONS && budget == DEFAULT_BUDGET;
+    // any override must not clobber it with numbers from a different run.
+    let tracked_config = seed == DEFAULT_SEED && iterations == DEFAULT_ITERATIONS;
 
     // Refinement fuzzes in-loop with the same seed/budget but at least the
     // iteration floor, so its fixed point certifies the campaign below.
     let loop_config = FuzzConfig {
         seed,
         iterations: iterations.max(REFINE_MIN_ITERATIONS),
-        sample_budget: budget,
+        sample_budget: DEFAULT_BUDGET,
     };
-    let config = FuzzConfig { seed, iterations, sample_budget: budget };
+    let config = FuzzConfig { seed, iterations, sample_budget: DEFAULT_BUDGET };
     let mut campaigns: Vec<CampaignReport> = Vec::new();
     for lang in &selection.languages {
         let name = lang.name();

@@ -14,11 +14,12 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin passive -- \
-//!     [grammar ...] [--seed N] [--corpus-size N] [--budget N] [--check] [--json]
+//!     [grammar ...] [--seed N] [--corpus-size N] [--check] [--json]
 //! ```
 //!
 //! Defaults: all five grammars, `--seed 42` (the corpus seed; evaluation
-//! datasets keep their own fixed seed), `--corpus-size 200`, `--budget 18`.
+//! datasets keep their own fixed seed), `--corpus-size 200`; corpus
+//! sentences are generated with a size budget of 18.
 //! The run is fully deterministic — wall-clock chatter goes to stderr —
 //! and `BENCH_passive.json` is only (re)written by a full-grammar-set run
 //! at the default configuration.
@@ -62,8 +63,7 @@ const PRECISION_SAMPLES: usize = 200;
 /// How many grammars the hybrid warm start must beat the cold run on.
 const HYBRID_MAJORITY: usize = 3;
 
-const USAGE: &str =
-    "passive [grammar ...] [--seed N] [--corpus-size N] [--budget N] [--check] [--json]";
+const USAGE: &str = "passive [grammar ...] [--seed N] [--corpus-size N] [--check] [--json]";
 
 /// One point of the pure-passive learning curve.
 #[derive(Serialize)]
@@ -134,18 +134,16 @@ struct PassiveBenchReport {
 }
 
 fn main() {
-    let args = Args::parse_or_exit(USAGE, &["seed", "corpus-size", "budget"], &["check", "json"]);
+    let args = Args::parse_or_exit(USAGE, &["seed", "corpus-size"], &["check", "json"]);
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let corpus_size: usize =
         args.parsed("corpus-size", DEFAULT_CORPUS_SIZE).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     if corpus_size == 0 {
         fail("--corpus-size must be positive".into());
     }
     let selection = args.languages().unwrap_or_else(|e| fail(e));
-    let tracked_config =
-        seed == DEFAULT_SEED && corpus_size == DEFAULT_CORPUS_SIZE && budget == DEFAULT_BUDGET;
+    let tracked_config = seed == DEFAULT_SEED && corpus_size == DEFAULT_CORPUS_SIZE;
 
     let mut sizes: Vec<usize> = CURVE_SIZES.iter().copied().filter(|&n| n < corpus_size).collect();
     sizes.push(corpus_size);
@@ -160,7 +158,7 @@ fn main() {
         let mut curve = Vec::new();
         for &n in &sizes {
             let mut rng = StdRng::seed_from_u64(seed);
-            let corpus = lang.generate_corpus(&mut rng, budget, n);
+            let corpus = lang.generate_corpus(&mut rng, DEFAULT_BUDGET, n);
             let result = learn_passive(&corpus);
             let recall_value = {
                 let mut hits = 0usize;
@@ -174,7 +172,7 @@ fn main() {
             let mut sample_rng = StdRng::seed_from_u64(seed ^ 0xA11CE);
             let sampler = GrammarSampler::new(&result.automaton.vpg);
             let samples: Vec<String> = sampler
-                .sample_many(&mut sample_rng, budget, PRECISION_SAMPLES)
+                .sample_many(&mut sample_rng, DEFAULT_BUDGET, PRECISION_SAMPLES)
                 .iter()
                 .map(|s| vstar::tokenizer::strip_markers(s))
                 .collect();
@@ -206,7 +204,7 @@ fn main() {
         // (2) Hybrid: cold corpus-evidence refinement vs warm start, same
         // corpus, fresh counting oracles.
         let mut corpus_rng = StdRng::seed_from_u64(seed);
-        let corpus = lang.generate_corpus(&mut corpus_rng, budget, corpus_size);
+        let corpus = lang.generate_corpus(&mut corpus_rng, DEFAULT_BUDGET, corpus_size);
         eprintln!("hybrid {name}: cold corpus-evidence refinement …");
         let cold_counting = CountingOracle::new(|s: &str| lang.accepts(s));
         let cold_oracle = |s: &str| cold_counting.member(s);
@@ -307,7 +305,8 @@ fn main() {
         );
     }
 
-    let bench = PassiveBenchReport { seed, budget, corpus_sizes: sizes.clone(), grammars };
+    let bench =
+        PassiveBenchReport { seed, budget: DEFAULT_BUDGET, corpus_sizes: sizes.clone(), grammars };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");
     write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {

@@ -12,15 +12,16 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin refine -- \
-//!     [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] \
-//!     [--max-campaigns N] [--budget N] [--check] [--json]
+//!     [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] [--check] [--json]
 //! ```
 //!
 //! Defaults: all five grammars, `--seed 42`, `--iterations 150` (the pre/post
 //! gate campaigns, matching CI's fuzz smoke), `--refine-iterations 300`
-//! (in-loop campaigns; at least `REFINE_MIN_ITERATIONS`), `--max-campaigns
-//! 40`, `--budget 24`. The run is fully deterministic; `BENCH_refine.json` is
-//! only (re)written by a full-grammar-set run at the default configuration.
+//! (in-loop campaigns; at least `REFINE_MIN_ITERATIONS`). Every campaign
+//! samples with a budget of 24, and a refinement loop runs at most
+//! `RefineConfig::default().max_campaigns` (40) evidence rounds. The run is
+//! fully deterministic; `BENCH_refine.json` is only (re)written by a
+//! full-grammar-set run at the default configuration.
 //!
 //! `--check` turns the run into the CI refinement gate: the process exits
 //! nonzero when any post-refinement campaign still diverges, or when — at the
@@ -47,8 +48,6 @@ const DEFAULT_SEED: u64 = 42;
 const DEFAULT_ITERATIONS: usize = 150;
 /// In-loop campaign iterations (the refinement evidence budget).
 const DEFAULT_REFINE_ITERATIONS: usize = REFINE_MIN_ITERATIONS;
-/// Evidence-round budget of one refinement loop.
-const DEFAULT_MAX_CAMPAIGNS: usize = 40;
 /// Sample budget of every campaign involved.
 const DEFAULT_BUDGET: usize = 24;
 
@@ -58,7 +57,7 @@ const DEFAULT_BUDGET: usize = 24;
 const KNOWN_GAPPED: &[&str] = &["while", "json"];
 
 const USAGE: &str = "refine [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] \
-                     [--max-campaigns N] [--budget N] [--check] [--json]";
+                     [--check] [--json]";
 
 /// One campaign boiled down to the fields the refinement trajectory needs.
 #[derive(Serialize)]
@@ -130,7 +129,7 @@ struct RefineBenchReport {
 fn main() {
     let args = Args::parse_or_exit(
         USAGE,
-        &["seed", "iterations", "refine-iterations", "max-campaigns", "budget"],
+        &["seed", "iterations", "refine-iterations"],
         &["check", "json"],
     );
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
@@ -139,23 +138,21 @@ fn main() {
         args.parsed("iterations", DEFAULT_ITERATIONS).unwrap_or_else(|e| fail(e));
     let refine_iterations: usize =
         args.parsed("refine-iterations", DEFAULT_REFINE_ITERATIONS).unwrap_or_else(|e| fail(e));
-    let max_campaigns: usize =
-        args.parsed("max-campaigns", DEFAULT_MAX_CAMPAIGNS).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && iterations == DEFAULT_ITERATIONS
-        && refine_iterations == DEFAULT_REFINE_ITERATIONS
-        && max_campaigns == DEFAULT_MAX_CAMPAIGNS
-        && budget == DEFAULT_BUDGET;
+        && refine_iterations == DEFAULT_REFINE_ITERATIONS;
 
     // The in-loop campaigns must dominate the gate campaigns: a fixed point at
     // `refine_iterations ≥ iterations` (same seed, same budget) certifies the
     // gate campaign clean by prefix determinism.
-    let gate_config = FuzzConfig { seed, iterations, sample_budget: budget };
-    let loop_config =
-        FuzzConfig { seed, iterations: refine_iterations.max(iterations), sample_budget: budget };
-    let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
+    let gate_config = FuzzConfig { seed, iterations, sample_budget: DEFAULT_BUDGET };
+    let loop_config = FuzzConfig {
+        seed,
+        iterations: refine_iterations.max(iterations),
+        sample_budget: DEFAULT_BUDGET,
+    };
+    let refine_config = RefineConfig::default();
 
     let mut grammars: Vec<GrammarRefineReport> = Vec::new();
     for lang in &selection.languages {
@@ -255,7 +252,7 @@ fn main() {
         seed,
         iterations,
         refine_iterations: loop_config.iterations,
-        max_campaigns,
+        max_campaigns: refine_config.max_campaigns,
         grammars,
     };
     let json = serde_json::to_string_pretty(&bench).expect("report serialises");

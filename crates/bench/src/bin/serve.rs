@@ -4,24 +4,24 @@
 //! the default V-Star pipeline, (2) compiles the learned grammar into the
 //! owned [`vstar_parser::CompiledGrammar`] artifact, (3) builds a
 //! deterministic corpus of converted words (grammar samples plus mutated
-//! non-members) and (4) measures single-thread recognition throughput of the
-//! uncompiled item-set parser against the compiled table-driven automaton,
-//! plus the sharded raw-string batch path across threads.
+//! non-members) and (4) measures recognition throughput of the uncompiled
+//! item-set parser against the compiled table-driven automaton, plus raw-string
+//! `recognize`.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin serve -- \
-//!     [grammar ...] [--seed N] [--samples N] [--budget N] [--passes N] [--check] [--json]
+//!     [grammar ...] [--seed N] [--samples N] [--passes N] [--check] [--json]
 //! ```
 //!
-//! Defaults: all five grammars, `--seed 42`, `--samples 300`, `--budget 40`,
-//! `--passes 40`. A full-set run at the default configuration rewrites the
-//! tracked `BENCH_serve.json`. Corpus shapes, acceptance counts and artifact
-//! sizes are deterministic for a fixed seed; the `*_chars_per_sec`,
-//! `speedup` and `batch_scaling` fields are wall-clock measurements and are
-//! excluded from the determinism claim (the same convention as
-//! `BENCH_table1.json`'s `time_seconds`).
+//! Defaults: all five grammars, `--seed 42`, `--samples 300`, `--passes 40`;
+//! corpus words are sampled with a budget of 40. A full-set run at the
+//! default configuration rewrites the tracked `BENCH_serve.json`. Corpus
+//! shapes, acceptance counts and artifact sizes are deterministic for a fixed
+//! seed; the `*_chars_per_sec` and `speedup` fields are wall-clock
+//! measurements and are excluded from the determinism claim (the same
+//! convention as `BENCH_table1.json`'s `time_seconds`).
 //!
 //! `--check` turns the run into the CI smoke gate: the process exits nonzero
 //! when the compiled artifact disagrees with the uncompiled parser on any
@@ -47,8 +47,7 @@ const DEFAULT_SAMPLES: usize = 300;
 const DEFAULT_BUDGET: usize = 40;
 const DEFAULT_PASSES: usize = 40;
 
-const USAGE: &str = "serve [grammar ...] [--seed N] [--samples N] [--budget N] [--passes N] \
-                     [--check] [--json]";
+const USAGE: &str = "serve [grammar ...] [--seed N] [--samples N] [--passes N] [--check] [--json]";
 
 /// One grammar's serving measurements. Every field except the
 /// `*_chars_per_sec` and `speedup*` wall-clock measurements is deterministic
@@ -68,19 +67,14 @@ struct ServeRow {
     stack_symbols: usize,
     /// Size of the serialized artifact document in bytes.
     artifact_bytes: usize,
-    /// Single-thread throughput of the uncompiled `VpgParser` (wall clock).
+    /// Throughput of the uncompiled `VpgParser` (wall clock).
     uncompiled_chars_per_sec: f64,
-    /// Single-thread throughput of `CompiledGrammar::recognize_word` (wall clock).
+    /// Throughput of `CompiledGrammar::recognize_word` (wall clock).
     compiled_chars_per_sec: f64,
     /// `compiled_chars_per_sec / uncompiled_chars_per_sec` (wall clock).
     speedup: f64,
-    /// Single-thread throughput of raw-string `CompiledGrammar::recognize`
-    /// (wall clock).
+    /// Throughput of raw-string `CompiledGrammar::recognize` (wall clock).
     raw_chars_per_sec: f64,
-    /// Raw-string batch throughput across scoped threads (wall clock).
-    batch_chars_per_sec: f64,
-    /// `batch_chars_per_sec / compiled single-thread raw throughput` (wall clock).
-    batch_scaling: f64,
 }
 
 #[derive(Serialize)]
@@ -89,26 +83,19 @@ struct ServeBenchReport {
     samples: usize,
     budget: usize,
     passes: usize,
-    threads: usize,
     rows: Vec<ServeRow>,
 }
 
 fn main() {
-    let args =
-        Args::parse_or_exit(USAGE, &["seed", "samples", "budget", "passes"], &["check", "json"]);
+    let args = Args::parse_or_exit(USAGE, &["seed", "samples", "passes"], &["check", "json"]);
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
     let seed = args.seed(DEFAULT_SEED).unwrap_or_else(|e| fail(e));
     let samples: usize = args.parsed("samples", DEFAULT_SAMPLES).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
     let passes: usize = args.parsed("passes", DEFAULT_PASSES).unwrap_or_else(|e| fail(e));
     let selection = args.languages().unwrap_or_else(|e| fail(e));
-    let tracked_config = seed == DEFAULT_SEED
-        && samples == DEFAULT_SAMPLES
-        && budget == DEFAULT_BUDGET
-        && passes == DEFAULT_PASSES;
+    let tracked_config =
+        seed == DEFAULT_SEED && samples == DEFAULT_SAMPLES && passes == DEFAULT_PASSES;
 
-    let threads =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     let mut rows = Vec::new();
     let mut check_failed = false;
     for lang in &selection.languages {
@@ -118,7 +105,7 @@ fn main() {
         let compiled = learned.compile().expect("learned grammars compile");
         let parser = VpgParser::new(learned.vpg());
 
-        let words = sample_corpus(learned.vpg(), seed, budget, samples);
+        let words = sample_corpus(learned.vpg(), seed, DEFAULT_BUDGET, samples);
         let corpus_chars: usize = words.iter().map(|w| w.chars().count()).sum();
 
         // Correctness first: the compiled artifact must agree with the
@@ -141,21 +128,22 @@ fn main() {
             accepted_words += usize::from(expect);
         }
 
-        // Throughput: repeated full passes over the corpus.
-        let time_passes = |f: &dyn Fn(&str) -> bool| -> f64 {
+        // Throughput: repeated full passes over a corpus.
+        let time_passes = |inputs: &[String], f: &dyn Fn(&str) -> bool| -> f64 {
+            let chars: usize = inputs.iter().map(|w| w.chars().count()).sum();
             let start = Instant::now();
             let mut live = 0usize;
             for _ in 0..passes {
-                for w in &words {
+                for w in inputs {
                     live += usize::from(f(w));
                 }
             }
             let elapsed = start.elapsed().as_secs_f64();
             std::hint::black_box(live);
-            (corpus_chars * passes) as f64 / elapsed.max(1e-9)
+            (chars * passes) as f64 / elapsed.max(1e-9)
         };
-        let uncompiled_cps = time_passes(&|w| parser.recognize(w));
-        let compiled_cps = time_passes(&|w| compiled.recognize_word(w));
+        let uncompiled_cps = time_passes(&words, &|w| parser.recognize(w));
+        let compiled_cps = time_passes(&words, &|w| compiled.recognize_word(w));
 
         // Raw-input agreement: the three raw entry points share one scan and
         // must give one verdict on every stripped word.
@@ -173,53 +161,29 @@ fn main() {
             }
         }
 
-        // Batch path: raw strings across scoped threads vs. one thread.
-        let raw_refs: Vec<&str> = raws.iter().map(String::as_str).collect();
-        let raw_chars: usize = raws.iter().map(|r| r.chars().count()).sum();
-        let start = Instant::now();
-        let mut single_live = 0usize;
-        for _ in 0..passes {
-            for r in &raw_refs {
-                single_live += usize::from(compiled.recognize(r));
-            }
-        }
-        let single_raw_elapsed = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let mut batch_live = 0usize;
-        for _ in 0..passes {
-            batch_live += compiled.recognize_batch(&raw_refs).iter().filter(|&&v| v).count();
-        }
-        let batch_elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(single_live, batch_live, "batch path changed verdicts");
-        let single_raw_cps = (raw_chars * passes) as f64 / single_raw_elapsed.max(1e-9);
-        let batch_cps = (raw_chars * passes) as f64 / batch_elapsed.max(1e-9);
+        let raw_cps = time_passes(&raws, &|r| compiled.recognize(r));
 
         rows.push(ServeRow {
             grammar: name.to_string(),
             corpus_words: words.len(),
             corpus_chars,
             accepted_words,
-            automaton_states: compiled.automaton_states(),
-            stack_symbols: compiled.stack_symbols(),
+            automaton_states: compiled.table_view().state_count(),
+            stack_symbols: compiled.table_view().stack_symbol_count(),
             artifact_bytes: artifact_json.len(),
             uncompiled_chars_per_sec: uncompiled_cps,
             compiled_chars_per_sec: compiled_cps,
             speedup: compiled_cps / uncompiled_cps.max(1e-9),
-            raw_chars_per_sec: single_raw_cps,
-            batch_chars_per_sec: batch_cps,
-            batch_scaling: batch_cps / single_raw_cps.max(1e-9),
+            raw_chars_per_sec: raw_cps,
         });
     }
 
     println!("Serving throughput: compiled artifact vs uncompiled parser (seed {seed})");
     println!();
-    println!(
-        "grammar\twords\tchars\tstates\tuncompiled MB/s\tcompiled MB/s\tspeedup\traw MB/s\t\
-         batch-scaling"
-    );
+    println!("grammar\twords\tchars\tstates\tuncompiled MB/s\tcompiled MB/s\tspeedup\traw MB/s");
     for r in &rows {
         println!(
-            "{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}x\t{:.1}\t{:.1}x",
+            "{}\t{}\t{}\t{}\t{:.1}\t{:.1}\t{:.1}x\t{:.1}",
             r.grammar,
             r.corpus_words,
             r.corpus_chars,
@@ -228,11 +192,10 @@ fn main() {
             r.compiled_chars_per_sec / 1e6,
             r.speedup,
             r.raw_chars_per_sec / 1e6,
-            r.batch_scaling,
         );
     }
 
-    let report = ServeBenchReport { seed, samples, budget, passes, threads, rows };
+    let report = ServeBenchReport { seed, samples, budget: DEFAULT_BUDGET, passes, rows };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");
     write_tracked_report(&[(JSON_REPORT_PATH, &json)], selection.full_set, tracked_config);
     if args.switch("json") {

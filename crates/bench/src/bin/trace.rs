@@ -17,18 +17,19 @@
 //!
 //! ```text
 //! cargo run --release -p vstar_bench --bin trace -- \
-//!     [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] \
-//!     [--max-campaigns N] [--budget N] [--serve-samples N] [--check] [--json]
+//!     [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] [--check] [--json]
 //! ```
 //!
 //! Defaults: all five grammars, `--seed 42`, `--iterations 150` (the gate
-//! campaign), `--refine-iterations 300`, `--max-campaigns 40`, `--budget 24`,
-//! `--serve-samples 120`. A full-set run at the default configuration
-//! rewrites the tracked `BENCH_trace.json` (deterministic facts: counters,
-//! span attribution, histograms) and `BENCH_trace.jsonl` (the deterministic
-//! event journals). Wall-clock phase timings are printed to **stderr** only —
-//! stdout and both files are byte-identical across same-seed runs, the
-//! repository's determinism convention.
+//! campaign), `--refine-iterations 300`. Every campaign samples with a budget
+//! of 24, the refinement loop runs at most
+//! `RefineConfig::default().max_campaigns` (40) evidence rounds, and the
+//! serving pass runs over 120 sampled words. A full-set run at the default
+//! configuration rewrites the tracked `BENCH_trace.json` (deterministic
+//! facts: counters, span attribution, histograms) and `BENCH_trace.jsonl`
+//! (the deterministic event journals). Wall-clock phase timings are printed
+//! to **stderr** only — stdout and both files are byte-identical across
+//! same-seed runs, the repository's determinism convention.
 //!
 //! `--check` turns the run into the CI observability gate: the process exits
 //! nonzero when the per-phase attribution does not sum to the oracle's grand
@@ -56,8 +57,6 @@ const DEFAULT_SEED: u64 = 42;
 const DEFAULT_ITERATIONS: usize = 150;
 /// In-loop campaign iterations (the refinement evidence budget).
 const DEFAULT_REFINE_ITERATIONS: usize = REFINE_MIN_ITERATIONS;
-/// Evidence-round budget of the refinement loop.
-const DEFAULT_MAX_CAMPAIGNS: usize = 40;
 /// Sample budget of every campaign involved.
 const DEFAULT_BUDGET: usize = 24;
 /// Words in the serving corpus.
@@ -66,7 +65,7 @@ const DEFAULT_SERVE_SAMPLES: usize = 120;
 const SERVE_SAMPLE_BUDGET: usize = 40;
 
 const USAGE: &str = "trace [grammar ...] [--seed N] [--iterations N] [--refine-iterations N] \
-                     [--max-campaigns N] [--budget N] [--serve-samples N] [--check] [--json]";
+                     [--check] [--json]";
 
 /// One row of the per-phase query-budget profile: the membership queries a
 /// span itself issued (children excluded — rows partition the grand total).
@@ -141,7 +140,7 @@ fn phase_profile(root: &SpanFacts) -> Vec<PhaseRow> {
 fn main() {
     let args = Args::parse_or_exit(
         USAGE,
-        &["seed", "iterations", "refine-iterations", "max-campaigns", "budget", "serve-samples"],
+        &["seed", "iterations", "refine-iterations"],
         &["check", "json"],
     );
     let fail = |e: String| -> ! { usage_error(USAGE, e) };
@@ -150,23 +149,18 @@ fn main() {
         args.parsed("iterations", DEFAULT_ITERATIONS).unwrap_or_else(|e| fail(e));
     let refine_iterations: usize =
         args.parsed("refine-iterations", DEFAULT_REFINE_ITERATIONS).unwrap_or_else(|e| fail(e));
-    let max_campaigns: usize =
-        args.parsed("max-campaigns", DEFAULT_MAX_CAMPAIGNS).unwrap_or_else(|e| fail(e));
-    let budget: usize = args.parsed("budget", DEFAULT_BUDGET).unwrap_or_else(|e| fail(e));
-    let serve_samples: usize =
-        args.parsed("serve-samples", DEFAULT_SERVE_SAMPLES).unwrap_or_else(|e| fail(e));
     let selection = args.languages().unwrap_or_else(|e| fail(e));
     let tracked_config = seed == DEFAULT_SEED
         && iterations == DEFAULT_ITERATIONS
-        && refine_iterations == DEFAULT_REFINE_ITERATIONS
-        && max_campaigns == DEFAULT_MAX_CAMPAIGNS
-        && budget == DEFAULT_BUDGET
-        && serve_samples == DEFAULT_SERVE_SAMPLES;
+        && refine_iterations == DEFAULT_REFINE_ITERATIONS;
 
-    let gate_config = FuzzConfig { seed, iterations, sample_budget: budget };
-    let loop_config =
-        FuzzConfig { seed, iterations: refine_iterations.max(iterations), sample_budget: budget };
-    let refine_config = RefineConfig { max_campaigns, ..RefineConfig::default() };
+    let gate_config = FuzzConfig { seed, iterations, sample_budget: DEFAULT_BUDGET };
+    let loop_config = FuzzConfig {
+        seed,
+        iterations: refine_iterations.max(iterations),
+        sample_budget: DEFAULT_BUDGET,
+    };
+    let refine_config = RefineConfig::default();
 
     let mut rows: Vec<TraceRow> = Vec::new();
     let mut journal_sections: Vec<(&str, Vec<String>)> = Vec::new();
@@ -194,14 +188,13 @@ fn main() {
 
         // Serve phase: compile and serve the artifact — deliberately *not*
         // through the counting oracle; the gate asserts this subtree issued
-        // zero membership queries. Single-threaded on purpose: the
-        // collector is thread-local, worker threads are unrecorded.
+        // zero membership queries.
         {
             let _serve_span = vstar_telemetry::span("serve");
             let compiled = learned.compile().expect("learned grammars compile");
             let mut rng = StdRng::seed_from_u64(seed);
             let sampler = GrammarSampler::new(learned.vpg());
-            let words = sampler.sample_many(&mut rng, SERVE_SAMPLE_BUDGET, serve_samples);
+            let words = sampler.sample_many(&mut rng, SERVE_SAMPLE_BUDGET, DEFAULT_SERVE_SAMPLES);
             let mut session = compiled.session();
             let mut served_members = 0usize;
             for w in &words {
@@ -306,9 +299,9 @@ fn main() {
         seed,
         iterations,
         refine_iterations: loop_config.iterations,
-        max_campaigns,
-        budget,
-        serve_samples,
+        max_campaigns: refine_config.max_campaigns,
+        budget: DEFAULT_BUDGET,
+        serve_samples: DEFAULT_SERVE_SAMPLES,
         rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serialises");

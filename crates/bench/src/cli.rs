@@ -185,14 +185,16 @@ pub fn language(name: &str) -> Result<Box<dyn Language>, String> {
 /// one — a full selection at the default configuration — and otherwise
 /// prints why the files were left untouched, so partial and ad-hoc runs
 /// never clobber the committed numbers.
+///
+/// A file that cannot be written exits the process with status 1: CI diffs
+/// the tracked files against the committed ones, and an unwritten file would
+/// pass that diff unchanged.
 pub fn write_tracked_report(files: &[(&str, &str)], full_set: bool, tracked_config: bool) {
     let why = match (full_set, tracked_config) {
         (true, true) => {
-            for (path, contents) in files {
-                match std::fs::write(path, contents) {
-                    Ok(()) => println!("wrote {path}"),
-                    Err(e) => eprintln!("could not write {path}: {e}"),
-                }
+            if let Err(e) = write_reports(files) {
+                eprintln!("{e}");
+                std::process::exit(1);
             }
             return;
         }
@@ -202,6 +204,16 @@ pub fn write_tracked_report(files: &[(&str, &str)], full_set: bool, tracked_conf
     for (path, _) in files {
         println!("{why}: {path} left untouched");
     }
+}
+
+/// Writes each `(path, contents)` file in order, stopping at the first that
+/// cannot be written.
+fn write_reports(files: &[(&str, &str)]) -> Result<(), String> {
+    for (path, contents) in files {
+        std::fs::write(path, contents).map_err(|e| format!("could not write {path}: {e}"))?;
+        println!("wrote {path}");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -279,5 +291,15 @@ mod tests {
         assert!(!subset.full_set);
         assert_eq!(names(&subset), ["json", "lisp", "xml", "while"]);
         assert!(!select(&["lisp", "lisp"]).unwrap().full_set);
+    }
+
+    #[test]
+    fn unwritable_report_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("vstar-bench-missing-{}", std::process::id()));
+        let path = dir.join("BENCH_x.json");
+        let path = path.to_str().unwrap();
+        let err = write_reports(&[(path, "{}")]).unwrap_err();
+        assert!(err.starts_with(&format!("could not write {path}: ")), "{err}");
+        assert!(!dir.exists());
     }
 }

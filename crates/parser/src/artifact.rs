@@ -20,7 +20,7 @@ use vstar::{PartialTokenizer, TokenDiscovery};
 use vstar_automata::Dfa;
 use vstar_vpl::{NonterminalId, RuleRhs, Tagging, Vpg, VpgBuilder};
 
-use crate::compiled::{CompileError, CompileOptions, CompiledGrammar};
+use crate::compiled::{CompileError, CompiledGrammar};
 
 /// The `format` tag every artifact document carries.
 const FORMAT_TAG: &str = "vstar-compiled-grammar";
@@ -512,7 +512,7 @@ fn decode(doc: &Value) -> Result<CompiledGrammar, ArtifactError> {
         }
     }
 
-    Ok(CompiledGrammar::assemble(vpg, tokenizer, mode, CompileOptions::default())?)
+    Ok(CompiledGrammar::assemble(vpg, tokenizer, mode)?)
 }
 
 #[cfg(test)]
@@ -531,7 +531,7 @@ mod tests {
         for w in ["", "agcdcdhbcd", "cd", "ab", "agh"] {
             assert_eq!(reloaded.recognize(w), compiled.recognize(w), "{w:?}");
         }
-        assert_eq!(reloaded.automaton_states(), compiled.automaton_states());
+        assert_eq!(reloaded.table_view().state_count(), compiled.table_view().state_count());
     }
 
     #[test]

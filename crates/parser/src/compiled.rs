@@ -51,10 +51,10 @@
 //!
 //! `CompiledGrammar` is `Send + Sync + Clone + 'static`, serializes to a
 //! versioned on-disk format ([`CompiledGrammar::save`] /
-//! [`CompiledGrammar::load`], see [`crate::artifact`]) and serves batches
-//! across scoped threads ([`CompiledGrammar::parse_batch`], see
-//! [`crate::serve`]). Compile once with [`CompileLearned::compile`], serve
-//! forever.
+//! [`CompiledGrammar::load`], see [`crate::artifact`]) and is shared by
+//! reference across threads without locks; streamed sessions and batches
+//! live in [`crate::serve`]. Compile once with [`CompileLearned::compile`],
+//! serve forever.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -89,7 +89,7 @@ const SYM_UNKNOWN: u32 = u32::MAX;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
     /// The reachable item-set automaton exceeded the state budget
-    /// ([`CompileOptions::max_states`]). The derivative automaton of a
+    /// (16 384 interned states). The derivative automaton of a
     /// learned VPG is small in practice; hitting this limit means the grammar
     /// is adversarially ambiguous.
     AutomatonTooLarge {
@@ -112,20 +112,6 @@ impl fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// Knobs for [`CompiledGrammar`] compilation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Upper bound on interned item-set states (and on dense-table size);
-    /// compilation fails with [`CompileError::AutomatonTooLarge`] beyond it.
-    pub max_states: usize,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions { max_states: 16_384 }
-    }
-}
 
 /// The precompiled derivative automaton: interned item-set states and dense
 /// `(state, symbol) → state` transition tables.
@@ -209,6 +195,10 @@ impl Automaton {
         }
     }
 }
+
+/// Upper bound on interned item-set states (and so on dense-table size):
+/// compilation fails with [`CompileError::AutomatonTooLarge`] beyond it.
+const MAX_STATES: usize = 16_384;
 
 /// Builds the automaton by saturating the reachable `(state, stack top)`
 /// configurations (the classic pre*-style closure for pushdown systems):
@@ -805,7 +795,7 @@ const SCRATCH_KEEP_CONFIGS: usize = 1 << 12;
 /// [`CompiledGrammar::from_vpg`] for a standalone grammar), then call
 /// [`recognize`](CompiledGrammar::recognize) /
 /// [`parse`](CompiledGrammar::parse) /
-/// [`parse_batch`](CompiledGrammar::parse_batch) — none of which need a
+/// [`recognize_batch`](CompiledGrammar::recognize_batch) — none of which need a
 /// membership oracle or borrow the learning stack — or persist it with
 /// [`save`](CompiledGrammar::save) and serve it later with
 /// [`load`](CompiledGrammar::load).
@@ -983,64 +973,28 @@ struct ScanOutcome {
 
 impl CompiledGrammar {
     /// Compiles a standalone grammar (character mode: the grammar's own
-    /// tagging is the input alphabet) with default options.
+    /// tagging is the input alphabet).
     ///
     /// # Errors
     ///
     /// Returns [`CompileError::AutomatonTooLarge`] when the reachable item-set
     /// automaton exceeds the state budget.
     pub fn from_vpg(vpg: &Vpg) -> Result<Self, CompileError> {
-        Self::from_vpg_with(vpg, CompileOptions::default())
-    }
-
-    /// [`CompiledGrammar::from_vpg`] with explicit [`CompileOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::AutomatonTooLarge`] when the reachable item-set
-    /// automaton exceeds the state budget.
-    pub fn from_vpg_with(vpg: &Vpg, options: CompileOptions) -> Result<Self, CompileError> {
         Self::assemble(
             vpg.clone(),
             PartialTokenizer::from_tagging(vpg.tagging()),
             TokenDiscovery::Characters,
-            options,
         )
-    }
-
-    /// Compiles a learned language (grammar + inferred tokenizer + discovery
-    /// mode) with default options. Equivalent to [`CompileLearned::compile`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::AutomatonTooLarge`] when the reachable item-set
-    /// automaton exceeds the state budget.
-    pub fn from_learned(learned: &LearnedLanguage) -> Result<Self, CompileError> {
-        Self::from_learned_with(learned, CompileOptions::default())
-    }
-
-    /// [`CompiledGrammar::from_learned`] with explicit [`CompileOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::AutomatonTooLarge`] when the reachable item-set
-    /// automaton exceeds the state budget.
-    pub fn from_learned_with(
-        learned: &LearnedLanguage,
-        options: CompileOptions,
-    ) -> Result<Self, CompileError> {
-        Self::assemble(learned.vpg().clone(), learned.tokenizer().clone(), learned.mode(), options)
     }
 
     pub(crate) fn assemble(
         vpg: Vpg,
         tokenizer: PartialTokenizer,
         mode: TokenDiscovery,
-        options: CompileOptions,
     ) -> Result<Self, CompileError> {
         let _compile_span = vstar_telemetry::span("compile");
         let tables = RuleTables::new(&vpg);
-        let auto = Builder::new(&tables, &vpg, options.max_states).build()?;
+        let auto = Builder::new(&tables, &vpg, MAX_STATES).build()?;
         vstar_telemetry::counter("compile.grammars", 1);
         vstar_telemetry::counter("compile.states_interned", auto.accepting.len() as u64);
         vstar_telemetry::counter("compile.stack_symbols", auto.n_syms as u64);
@@ -1077,18 +1031,6 @@ impl CompiledGrammar {
     #[must_use]
     pub fn mode(&self) -> TokenDiscovery {
         self.mode
-    }
-
-    /// Number of interned item-set states of the derivative automaton.
-    #[must_use]
-    pub fn automaton_states(&self) -> usize {
-        self.auto.accepting.len()
-    }
-
-    /// Number of interned stack symbols of the derivative automaton.
-    #[must_use]
-    pub fn stack_symbols(&self) -> usize {
-        self.auto.n_syms
     }
 
     /// The artifact's [`GrammarStats`] card: automaton geometry, grammar
@@ -1536,13 +1478,13 @@ pub trait CompileLearned {
 
 impl CompileLearned for LearnedLanguage {
     fn compile(&self) -> Result<CompiledGrammar, CompileError> {
-        CompiledGrammar::from_learned(self)
+        CompiledGrammar::assemble(self.vpg().clone(), self.tokenizer().clone(), self.mode())
     }
 }
 
 impl CompileLearned for VStarResult {
     fn compile(&self) -> Result<CompiledGrammar, CompileError> {
-        CompiledGrammar::from_learned(&self.as_learned_language())
+        self.as_learned_language().compile()
     }
 }
 
@@ -1577,7 +1519,7 @@ mod tests {
                 (a, b) => panic!("parse verdicts differ on {w:?}: {a:?} vs {b:?}"),
             }
         }
-        assert!(compiled.automaton_states() > 0);
+        assert!(compiled.table_view().state_count() > 0);
     }
 
     #[test]
@@ -1655,13 +1597,7 @@ mod tests {
             call: TokenMatcher::Literal("{".to_string()),
             ret: TokenMatcher::Literal("}".to_string()),
         });
-        let compiled = CompiledGrammar::assemble(
-            g,
-            tokenizer,
-            TokenDiscovery::Tokens,
-            CompileOptions::default(),
-        )
-        .unwrap();
+        let compiled = CompiledGrammar::assemble(g, tokenizer, TokenDiscovery::Tokens).unwrap();
 
         // The inner `{` occurrences must be skipped, the outer pair taken.
         for member in ["{\"\":t}", "{\"{\":t}", "{\"{{{\":t}"] {
@@ -1747,7 +1683,7 @@ mod tests {
         assert!(compiled.recognize("(x(x))x"));
         // compile() also works straight off the pipeline result.
         let again = result.compile().unwrap();
-        assert_eq!(again.automaton_states(), compiled.automaton_states());
+        assert_eq!(again.table_view().state_count(), compiled.table_view().state_count());
     }
 
     #[test]
@@ -1826,7 +1762,8 @@ mod tests {
     #[test]
     fn state_budget_is_enforced() {
         let g = figure1_grammar();
-        let err = CompiledGrammar::from_vpg_with(&g, CompileOptions { max_states: 1 }).unwrap_err();
+        let tables = RuleTables::new(&g);
+        let err = Builder::new(&tables, &g, 1).build().unwrap_err();
         assert!(matches!(err, CompileError::AutomatonTooLarge { limit: 1, .. }));
         assert!(err.to_string().contains("state budget"));
     }
@@ -1843,13 +1780,8 @@ mod tests {
         b.linear_rule(odd, 'a', s);
         b.empty_rule(s);
         let g = b.build(s).unwrap();
-        let compiled = CompiledGrammar::assemble(
-            g,
-            PartialTokenizer::new(),
-            TokenDiscovery::Tokens,
-            CompileOptions::default(),
-        )
-        .unwrap();
+        let compiled =
+            CompiledGrammar::assemble(g, PartialTokenizer::new(), TokenDiscovery::Tokens).unwrap();
         assert!(compiled.recognize(""));
         assert!(!compiled.recognize("a"));
         assert!(compiled.recognize("aa"));

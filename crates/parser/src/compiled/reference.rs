@@ -244,7 +244,7 @@ mod tests {
     use vstar::{Mat, VStar, VStarConfig};
     use vstar_oracles::{table1_languages, Json, Language, Lisp};
 
-    use super::super::CompiledGrammar;
+    use super::super::{CompileLearned, CompiledGrammar};
 
     /// Learns `lang` with the default pipeline and compiles it.
     fn compile(lang: &dyn Language) -> CompiledGrammar {
@@ -253,7 +253,7 @@ mod tests {
         let result = VStar::new(VStarConfig::default())
             .learn(&mat, &lang.alphabet(), &lang.seeds())
             .unwrap_or_else(|e| panic!("{}: learning failed: {e}", lang.name()));
-        CompiledGrammar::from_learned(&result.as_learned_language()).unwrap()
+        result.compile().unwrap()
     }
 
     /// The serving scan and the reference scan give the same verdict,
@@ -309,8 +309,6 @@ mod tests {
         use vstar::{PartialTokenizer, TokenDiscovery, TokenPair};
         use vstar_vpl::{Tagging, VpgBuilder};
 
-        use super::super::CompileOptions;
-
         let (call, ret) = (call_marker(0), return_marker(0));
         let mut b = VpgBuilder::new(Tagging::from_pairs([(call, ret)]).unwrap());
         let [s, body, body_x, body_close, plain, plain_close, end] =
@@ -330,13 +328,8 @@ mod tests {
             call: TokenMatcher::Literal("(".to_string()),
             ret: TokenMatcher::Literal(")".to_string()),
         });
-        let g = CompiledGrammar::assemble(
-            b.build(s).unwrap(),
-            tokenizer,
-            TokenDiscovery::Tokens,
-            CompileOptions::default(),
-        )
-        .unwrap();
+        let g = CompiledGrammar::assemble(b.build(s).unwrap(), tokenizer, TokenDiscovery::Tokens)
+            .unwrap();
         for input in ["(x)", "((x))", "(x))", "((x)", "x)", "()"] {
             assert_scans_agree(&g, "ambiguous", input);
         }

@@ -23,7 +23,7 @@
 //!   serializable, **oracle-free serving artifact** ([`compiled`]/[`artifact`]/
 //!   [`serve`] modules): item-set transitions precompiled into lookup tables, the tokenizer's k-Repetition
 //!   decisions materialized into the same tables, versioned `save`/`load`,
-//!   streaming [`Session`]s and scoped-thread batch serving. Obtained from a
+//!   streaming [`Session`]s and sequential batches. Obtained from a
 //!   learned language via [`CompileLearned::compile`].
 //!
 //! # Example
@@ -64,9 +64,7 @@ pub mod serve;
 pub mod tree;
 
 pub use artifact::{ArtifactError, ARTIFACT_VERSION, MAX_MATCHER_STATES};
-pub use compiled::{
-    CompileError, CompileLearned, CompileOptions, CompiledGrammar, GrammarStats, TableView,
-};
+pub use compiled::{CompileError, CompileLearned, CompiledGrammar, GrammarStats, TableView};
 pub use error::{ParseError, ParseErrorKind};
 pub use recognizer::VpgParser;
 pub use sampler::GrammarSampler;

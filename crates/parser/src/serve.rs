@@ -1,5 +1,5 @@
 //! Serving entry points of a [`CompiledGrammar`]: incremental sessions and
-//! sharded batches.
+//! batches.
 //!
 //! Every entry point decides membership of the *raw input* with
 //! [`CompiledGrammar::recognize`], so one-shot calls, batches and streamed
@@ -17,15 +17,11 @@
 //!   registry swaps (the `vstar-serve` daemon pins each connection's state to
 //!   an `Arc`-held artifact). The grammar is passed where it is used, at
 //!   [`SessionState::finish`].
-//! * [`CompiledGrammar::parse_batch`] / [`CompiledGrammar::recognize_batch`]
-//!   shard a batch across scoped threads. `CompiledGrammar` is `Send + Sync`,
-//!   so the shards share one artifact without cloning or locking.
-
-use std::thread;
+//! * [`CompiledGrammar::recognize_batch`] decides a batch in order on the
+//!   calling thread, so every input reuses that thread's warm scan scratch
+//!   and is counted by its telemetry collector.
 
 use crate::compiled::CompiledGrammar;
-use crate::error::ParseError;
-use crate::tree::ParseTree;
 
 /// The owned state of one incremental recognition: the raw bytes pushed since
 /// the last [`SessionState::reset`] — everything a [`Session`] holds except
@@ -149,45 +145,11 @@ impl CompiledGrammar {
         Session { grammar: self, state: SessionState::new() }
     }
 
-    /// Parses every input, sharding the batch across scoped threads (the
-    /// artifact is shared by reference — no clones, no locks). Results come
-    /// back in input order; per-input failures are per-input `Err`s.
-    #[must_use]
-    pub fn parse_batch(&self, inputs: &[&str]) -> Vec<Result<ParseTree, ParseError>> {
-        self.shard_batch(inputs, |s| self.parse(s))
-    }
-
-    /// Decides membership of every input, sharding the batch across scoped
-    /// threads. Verdicts come back in input order.
+    /// Decides membership of every input with
+    /// [`CompiledGrammar::recognize`]. Verdicts come back in input order.
     #[must_use]
     pub fn recognize_batch(&self, inputs: &[&str]) -> Vec<bool> {
-        self.shard_batch(inputs, |s| self.recognize(s))
-    }
-
-    /// Runs `work` over `inputs` on up to `available_parallelism` scoped
-    /// threads, preserving input order.
-    fn shard_batch<T: Send>(&self, inputs: &[&str], work: impl Fn(&str) -> T + Sync) -> Vec<T> {
-        let threads = thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(inputs.len());
-        if threads <= 1 {
-            return inputs.iter().map(|s| work(s)).collect();
-        }
-        let chunk_size = inputs.len().div_ceil(threads);
-        let work = &work;
-        let mut results: Vec<Vec<T>> = thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || chunk.iter().map(|s| work(s)).collect()))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("batch shard panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(inputs.len());
-        for shard in &mut results {
-            out.append(shard);
-        }
-        out
+        inputs.iter().map(|s| self.recognize(s)).collect()
     }
 }
 
@@ -281,18 +243,16 @@ mod tests {
             .collect();
         let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
         let verdicts = compiled.recognize_batch(&refs);
-        let parses = compiled.parse_batch(&refs);
         assert_eq!(verdicts.len(), refs.len());
-        assert_eq!(parses.len(), refs.len());
-        for ((s, v), p) in refs.iter().zip(&verdicts).zip(&parses) {
+        for (s, v) in refs.iter().zip(&verdicts) {
             assert_eq!(*v, compiled.recognize(s), "verdict order broken at {s:?}");
-            assert_eq!(p.is_ok(), *v, "parse/recognize disagree at {s:?}");
-            if let Ok(tree) = p {
+            let parse = compiled.parse(s);
+            assert_eq!(parse.is_ok(), *v, "parse/recognize disagree at {s:?}");
+            if let Ok(tree) = parse {
                 assert_eq!(tree.yielded(), *s);
             }
         }
         // Empty batches are fine.
         assert!(compiled.recognize_batch(&[]).is_empty());
-        assert!(compiled.parse_batch(&[]).is_empty());
     }
 }

@@ -33,8 +33,8 @@ fn round_trip(lang: &dyn Language) {
     // The document is canonical: re-serializing the reload is byte-identical.
     assert_eq!(compiled.to_json(), reloaded.to_json(), "{}: document drift", lang.name());
     assert_eq!(
-        compiled.automaton_states(),
-        reloaded.automaton_states(),
+        compiled.table_view().state_count(),
+        reloaded.table_view().state_count(),
         "{}: automaton drift",
         lang.name()
     );

@@ -9,13 +9,17 @@
 //! * on random VPGs, `CompiledGrammar` (table-driven) agrees with the
 //!   uncompiled `VpgParser` (item sets rebuilt per position) on recognition,
 //!   parse trees and serialization round trips, and the byte-at-a-time
-//!   streaming `Session` agrees with whole-string recognition.
+//!   streaming `Session` agrees with whole-string recognition;
+//! * randomly corrupted artifact documents never panic the loader.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vstar_parser::{CompiledGrammar, GrammarSampler, VpgParser};
+use vstar::tokenizer::TokenMatcher;
+use vstar::{LearnedLanguage, PartialTokenizer, TokenDiscovery, TokenPair};
+use vstar_parser::{CompileLearned, CompiledGrammar, GrammarSampler, VpgParser};
+use vstar_vpl::grammar::figure1_grammar;
 use vstar_vpl::{vpa_to_vpg, Tagging, Vpa, Vpg, VpgBuilder};
 
 const CALLS: [char; 2] = ['(', '['];
@@ -123,6 +127,57 @@ fn random_word(rng: &mut StdRng, max_len: usize) -> String {
         }
     }
     out
+}
+
+/// A hand-built token-mode artifact: the marker-pair grammar
+/// `S → ⟨call⟩ E ⟨ret⟩ E`, `E → ε` over the 3-byte artificial markers, with
+/// the literal tokens `<p>` / `</p>` as its one tokenizer pair.
+fn marker_pair_artifact() -> CompiledGrammar {
+    let call = vstar::tokenizer::call_marker(0);
+    let ret = vstar::tokenizer::return_marker(0);
+    let tagging = Tagging::from_pairs([(call, ret)]).unwrap();
+    let mut b = VpgBuilder::new(tagging.clone());
+    let s = b.nonterminal("S");
+    let e = b.nonterminal("E");
+    b.match_rule(s, call, e, ret, e);
+    b.empty_rule(e);
+    let vpg = b.build(s).unwrap();
+
+    let mut tokenizer = PartialTokenizer::new();
+    tokenizer.push_pair(TokenPair {
+        call: TokenMatcher::Literal("<p>".to_string()),
+        ret: TokenMatcher::Literal("</p>".to_string()),
+    });
+    let mut vb = vstar_vpl::VpaBuilder::new(tagging);
+    let q0 = vb.add_state();
+    vb.set_initial(q0);
+    vb.add_accepting(q0);
+    let vpa = vb.build().unwrap();
+    LearnedLanguage::new(vpa, vpg, tokenizer, TokenDiscovery::Tokens).compile().unwrap()
+}
+
+/// Applies 1–4 random edits to `doc`: overwrite a byte (with a JSON
+/// delimiter, a digit, a letter or any byte), delete a short run of bytes, or
+/// truncate.
+fn corrupt(doc: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    const POOL: &[u8] = b"{}[]\":,-.0123456789eEtfnul \n\\";
+    let mut bytes = doc.to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..bytes.len());
+        match rng.gen_range(0u8..4) {
+            0 => bytes[at] = POOL[rng.gen_range(0..POOL.len())],
+            1 => bytes[at] = rng.gen_range(0u8..=255),
+            2 => {
+                let end = (at + rng.gen_range(1..8)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    bytes
 }
 
 proptest! {
@@ -234,6 +289,28 @@ proptest! {
                 session.finish() == compiled.recognize_word(&w),
                 "streaming mismatch on {:?} (seed {})", w, seed
             );
+        }
+    }
+    /// The artifact loader never panics: randomly edited, shortened and
+    /// truncated canonical documents of a character-mode and a token-mode
+    /// artifact load or fail with a typed `ArtifactError`, and every document
+    /// that loads round-trips through `to_json` unchanged.
+    #[test]
+    fn artifact_loader_survives_corrupted_documents(edit_seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(edit_seed);
+        let figure1 = CompiledGrammar::from_vpg(&figure1_grammar()).unwrap();
+        for artifact in [&figure1, &marker_pair_artifact()] {
+            let doc = artifact.to_json();
+            let edited = corrupt(doc.as_bytes(), &mut rng);
+            let text = String::from_utf8_lossy(&edited);
+            if let Ok(loaded) = CompiledGrammar::from_json(&text) {
+                let canonical = loaded.to_json();
+                let again = CompiledGrammar::from_json(&canonical);
+                prop_assert!(
+                    again.as_ref().is_ok_and(|g| g.to_json() == canonical),
+                    "loaded document does not round-trip (seed {}): {:?}", edit_seed, again.err()
+                );
+            }
         }
     }
 }

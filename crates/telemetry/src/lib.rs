@@ -32,9 +32,9 @@
 //! installed, and instrumentation is applied at call granularity (per parse,
 //! never per character) so even enabled runs pay a bounded price.
 //!
-//! Collectors are thread-local by design: work done on worker threads (e.g.
-//! the batch-serving helpers) is not recorded, which keeps the journal
-//! deterministic under arbitrary thread scheduling.
+//! Collectors are thread-local by design: work done on other threads is not
+//! recorded, which keeps the journal deterministic under arbitrary thread
+//! scheduling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,8 @@
 //!
 //! The learning stack (oracle, Mat, learner state) is dropped before any
 //! serving happens — everything after the `drop` line runs on the compiled
-//! artifact alone: single calls, a saved/loaded copy, a multi-threaded batch
-//! and a streaming session.
+//! artifact alone: single calls, a saved/loaded copy, a batch and a streaming
+//! session.
 //!
 //! Run with: `cargo run --example serve_compiled_grammar --release`
 
@@ -23,8 +23,8 @@ fn main() {
     let compiled = result.compile().expect("learned grammar compiles");
     println!(
         "compiled json: {} item-set states, {} stack symbols, {} rules",
-        compiled.automaton_states(),
-        compiled.stack_symbols(),
+        compiled.table_view().state_count(),
+        compiled.table_view().stack_symbol_count(),
         compiled.vpg().rule_count(),
     );
     drop((mat, result)); // serving needs no oracle and no learner state
@@ -48,7 +48,7 @@ fn main() {
         println!("rejected {bad:?}: {err}");
     }
 
-    // Batch serving: one artifact, many documents, scoped threads.
+    // Batch serving: one artifact, many documents, verdicts in input order.
     let docs: Vec<String> = (0..2000)
         .map(|k| match k % 4 {
             0 => format!("{{\"k{k}\":{k}}}"),
@@ -60,7 +60,7 @@ fn main() {
     let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
     let verdicts = served.recognize_batch(&refs);
     let accepted = verdicts.iter().filter(|&&v| v).count();
-    println!("batch: {accepted}/{} documents accepted across threads", refs.len());
+    println!("batch: {accepted}/{} documents accepted", refs.len());
 
     // Streaming: feed the raw document chunk by chunk; the verdict is the
     // one `recognize` gives the whole string.
