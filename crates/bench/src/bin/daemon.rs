@@ -6,7 +6,8 @@
 //! grammar and publishes it into a [`vstar_serve::GrammarRegistry`], then
 //! (3) starts a real [`vstar_serve::Daemon`] on an ephemeral port and drives
 //! it with `--clients` concurrent client threads. Every client streams the
-//! deterministic raw corpus of every grammar through `B`/`D`/`E` sessions
+//! deterministic raw corpus of every grammar (oracle-generated members and a
+//! one-character mutant of each) through `B`/`D`/`E` sessions
 //! (chunk boundaries are client-seeded and may split UTF-8 codepoints),
 //! issues the same raw strings as one-shot `Q` queries, and after a barrier the
 //! first client hot-reloads the first grammar (`P`) before a second streaming
@@ -20,7 +21,7 @@
 //! ```
 //!
 //! Defaults: all five grammars, `--seed 42`, `--clients 4`, `--samples 30`;
-//! corpus words are sampled with a budget of 24. A full-set run at the
+//! corpus members are generated with a budget of 24. A full-set run at the
 //! default configuration rewrites the
 //! tracked `BENCH_daemon.json`. Corpus shapes, verdicts, request/byte counts
 //! and artifact fingerprints are deterministic for a fixed seed; request
@@ -43,7 +44,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use vstar_bench::cli::{usage_error, write_tracked_report, Args};
-use vstar_bench::{learn_plain, sample_corpus};
+use vstar_bench::{learn_plain, raw_corpus};
 use vstar_oracles::{CountedLanguage, CountingOracle};
 use vstar_parser::CompileLearned;
 use vstar_serve::{AccessLog, Client, Daemon, GrammarRegistry};
@@ -167,8 +168,7 @@ fn main() {
         let learn_unique_queries = oracle.unique_queries();
         let compiled = learned.compile().expect("learned grammars compile");
 
-        let words = sample_corpus(learned.vpg(), seed, DEFAULT_BUDGET, samples);
-        let raws: Vec<String> = words.iter().map(|w| learned.strip(w)).collect();
+        let raws = raw_corpus(lang.as_ref(), seed, DEFAULT_BUDGET, samples);
         let raw_expect: Vec<bool> = raws.iter().map(|r| compiled.recognize(r)).collect();
 
         let artifact_json = compiled.to_json();

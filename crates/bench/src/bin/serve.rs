@@ -6,7 +6,8 @@
 //! deterministic corpus of converted words (grammar samples plus mutated
 //! non-members) and (4) measures recognition throughput of the uncompiled
 //! item-set parser against the compiled table-driven automaton, plus raw-string
-//! `recognize`.
+//! `recognize` on a deterministic corpus of oracle-generated members and
+//! their one-character mutants.
 //!
 //! Usage:
 //!
@@ -16,8 +17,9 @@
 //! ```
 //!
 //! Defaults: all five grammars, `--seed 42`, `--samples 300`, `--passes 40`;
-//! corpus words are sampled with a budget of 40. A full-set run at the
-//! default configuration rewrites the tracked `BENCH_serve.json`. Corpus
+//! corpus words are sampled, and raw members generated, with a budget of 40.
+//! A full-set run at the default configuration rewrites the tracked
+//! `BENCH_serve.json`. Corpus
 //! shapes, acceptance counts and artifact sizes are deterministic for a fixed
 //! seed; the `*_chars_per_sec` and `speedup` fields are wall-clock
 //! measurements and are excluded from the determinism claim (the same
@@ -26,7 +28,7 @@
 //! `--check` turns the run into the CI smoke gate: the process exits nonzero
 //! when the compiled artifact disagrees with the uncompiled parser on any
 //! corpus word, when a save → load round trip drifts, or when the raw-input
-//! entry points disagree on any stripped corpus string — for the compiled
+//! entry points disagree on any raw corpus string — for the compiled
 //! and the reloaded artifact alike, `recognize(r)`,
 //! `converted_word(r).is_some()` and `parse(r).is_ok()` must be one verdict.
 //! Throughput is printed but not gated (CI machines are noisy); the
@@ -37,7 +39,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use vstar_bench::cli::{usage_error, write_tracked_report, Args};
-use vstar_bench::{learn_plain, sample_corpus};
+use vstar_bench::{learn_plain, raw_corpus, sample_corpus};
 use vstar_parser::{CompileLearned, CompiledGrammar, VpgParser};
 
 const JSON_REPORT_PATH: &str = "BENCH_serve.json";
@@ -73,6 +75,12 @@ struct ServeRow {
     compiled_chars_per_sec: f64,
     /// `compiled_chars_per_sec / uncompiled_chars_per_sec` (wall clock).
     speedup: f64,
+    /// Raw strings in the raw corpus (generated members + mutants).
+    raw_inputs: usize,
+    /// Total characters across the raw corpus.
+    raw_chars: usize,
+    /// Raw strings the compiled artifact accepts.
+    accepted_raws: usize,
     /// Throughput of raw-string `CompiledGrammar::recognize` (wall clock).
     raw_chars_per_sec: f64,
 }
@@ -146,8 +154,8 @@ fn main() {
         let compiled_cps = time_passes(&words, &|w| compiled.recognize_word(w));
 
         // Raw-input agreement: the three raw entry points share one scan and
-        // must give one verdict on every stripped word.
-        let raws: Vec<String> = words.iter().map(|w| learned.strip(w)).collect();
+        // must give one verdict on every raw string.
+        let raws = raw_corpus(lang.as_ref(), seed, DEFAULT_BUDGET, samples);
         for r in &raws {
             for (engine, g) in [("compiled", &compiled), ("reloaded", &reloaded)] {
                 let verdicts = [g.recognize(r), g.converted_word(r).is_some(), g.parse(r).is_ok()];
@@ -162,6 +170,7 @@ fn main() {
         }
 
         let raw_cps = time_passes(&raws, &|r| compiled.recognize(r));
+        let accepted_raws = raws.iter().filter(|r| compiled.recognize(r)).count();
 
         rows.push(ServeRow {
             grammar: name.to_string(),
@@ -174,6 +183,9 @@ fn main() {
             uncompiled_chars_per_sec: uncompiled_cps,
             compiled_chars_per_sec: compiled_cps,
             speedup: compiled_cps / uncompiled_cps.max(1e-9),
+            raw_inputs: raws.len(),
+            raw_chars: raws.iter().map(|r| r.chars().count()).sum(),
+            accepted_raws,
             raw_chars_per_sec: raw_cps,
         });
     }

@@ -140,20 +140,48 @@ pub fn sample_corpus(
     samples: usize,
 ) -> Vec<String> {
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut words = vstar_parser::GrammarSampler::new(vpg).sample_many(&mut rng, budget, samples);
     let terminals: Vec<char> = vpg.terminals().into_iter().collect();
+    push_mutants(&mut words, &terminals, &mut rng);
+    words
+}
+
+/// The serving benchmarks' deterministic corpus of raw strings: `samples`
+/// members the oracle generates within `budget`, then a single-character
+/// mutant of each non-empty member over the language's alphabet (mostly
+/// rejects), all drawn from one `StdRng` seeded with `seed`. Unlike stripped
+/// samples of a learned grammar ([`sample_corpus`]), the members are members
+/// of the language whatever the grammar learned.
+#[must_use]
+pub fn raw_corpus(
+    lang: &dyn vstar_oracles::Language,
+    seed: u64,
+    budget: usize,
+    samples: usize,
+) -> Vec<String> {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut raws: Vec<String> = (0..samples).map(|_| lang.generate(&mut rng, budget)).collect();
+    push_mutants(&mut raws, &lang.alphabet(), &mut rng);
+    raws
+}
+
+/// Appends a mutant of each non-empty string of `words`, in order: one
+/// character replaced by a random character of `alphabet`.
+fn push_mutants(words: &mut Vec<String>, alphabet: &[char], rng: &mut rand::rngs::StdRng) {
+    use rand::Rng;
     for k in 0..words.len() {
         let mut mutant: Vec<char> = words[k].chars().collect();
         if mutant.is_empty() {
             continue;
         }
         let i = rng.gen_range(0..mutant.len());
-        mutant[i] = terminals[rng.gen_range(0..terminals.len())];
+        mutant[i] = alphabet[rng.gen_range(0..alphabet.len())];
         words.push(mutant.into_iter().collect());
     }
-    words
 }
 
 /// Seed of the deterministic repair corpus the corpus-driven re-inference

@@ -518,6 +518,7 @@ fn decode(doc: &Value) -> Result<CompiledGrammar, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::MAX_PRODUCT_SIZE;
     use vstar_vpl::grammar::figure1_grammar;
 
     #[test]
@@ -588,5 +589,76 @@ mod tests {
         let broken = json.replacen("\"next\": 0", "\"next\": 99", 1);
         let e = CompiledGrammar::from_json(&broken);
         assert!(matches!(e, Err(ArtifactError::Format { .. })), "{e:?}");
+    }
+
+    /// An artifact document whose tokenizer has `pairs` `(call, return)`
+    /// matchers, each cycling through the given number of states on `a`
+    /// (0: a one-state loop on `a` that never accepts). From every cycle
+    /// state `b` leads to the one accepting state, so no state the cycle
+    /// passes through is labelled and every matcher stays live on `a`.
+    fn document_with_cycles(pairs: &[(usize, usize)]) -> String {
+        let cycle = |n: usize| {
+            let dfa = if n == 0 {
+                Dfa::new(vec!['a'], 1, 0, [].into(), [((0, 'a'), 0)].into())
+            } else {
+                let moves = (0..n).flat_map(|s| [((s, 'a'), (s + 1) % n), ((s, 'b'), n)]);
+                Dfa::new(vec!['a', 'b'], n + 1, 0, [n].into(), moves.collect())
+            };
+            encode_matcher(&TokenMatcher::Dfa(dfa))
+        };
+        let marker = |code: usize| char::from_u32(0x100 + code as u32).unwrap();
+        let tagging =
+            Tagging::from_pairs((0..pairs.len()).map(|i| (marker(2 * i), marker(2 * i + 1))))
+                .unwrap();
+        let mut b = VpgBuilder::new(tagging);
+        let s = b.nonterminal("S");
+        b.empty_rule(s);
+        let mut doc = encode(&CompiledGrammar::from_vpg(&b.build(s).unwrap()).unwrap());
+        let Value::Object(fields) = &mut doc else { panic!("an artifact is an object") };
+        let Some((_, Value::Object(tokenizer))) = fields.iter_mut().find(|(k, _)| k == "tokenizer")
+        else {
+            panic!("an artifact has a tokenizer object")
+        };
+        let slot = tokenizer.iter_mut().find(|(k, _)| k == "pairs").unwrap();
+        slot.1 = Value::Array(
+            pairs
+                .iter()
+                .map(|&(call, ret)| {
+                    Value::Object(vec![("call".into(), cycle(call)), ("ret".into(), cycle(ret))])
+                })
+                .collect(),
+        );
+        serde_json::to_string(&doc).unwrap()
+    }
+
+    /// The product matcher's size is capped, whether it comes from many
+    /// states (cycles of 17, 19, 23 and 29 states: 215 441 product states)
+    /// or from many matchers that stay live in each of a few thousand states
+    /// (cycles of 5, 7, 11 and 13 states, 5 005 product states, with 200
+    /// `a*b` matchers alongside). Matchers that can never accept are left
+    /// out of the product, so the same 200 fillers without an accepting
+    /// state cost nothing.
+    #[test]
+    fn oversized_matcher_products_fail_to_load() {
+        let too_large = |e: &Result<CompiledGrammar, ArtifactError>| {
+            matches!(
+                e,
+                Err(ArtifactError::Compile(CompileError::MatcherTooLarge {
+                    limit: MAX_PRODUCT_SIZE
+                }))
+            )
+        };
+        let e = CompiledGrammar::from_json(&document_with_cycles(&[(17, 19), (23, 29)]));
+        assert!(too_large(&e), "{e:?}");
+
+        let small = [(5, 7), (11, 13)];
+        let e = CompiledGrammar::from_json(&document_with_cycles(&small));
+        assert!(e.is_ok(), "{e:?}");
+        let live = [&small[..], &[(1, 1); 100]].concat();
+        let e = CompiledGrammar::from_json(&document_with_cycles(&live));
+        assert!(too_large(&e), "{e:?}");
+        let never_accepting = [&small[..], &[(0, 0); 100]].concat();
+        let e = CompiledGrammar::from_json(&document_with_cycles(&never_accepting));
+        assert!(e.is_ok(), "{e:?}");
     }
 }

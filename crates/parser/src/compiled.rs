@@ -35,19 +35,28 @@
 //! * **The raw scan allocates nothing per call.** Token-mode
 //!   [`CompiledGrammar::recognize`], [`CompiledGrammar::parse`] and
 //!   [`CompiledGrammar::converted_word`] share one scan (and so do sessions,
-//!   batches and the `vstar-serve` daemon, which all call `recognize`).
-//!   Each tokenizer matcher is compiled into a dense `state × ASCII`
-//!   transition table when the artifact is assembled, and each pair's marker
-//!   codes are classified once, so finding a token is a few array reads.
-//!   The frontier is a first-in-first-out bucket per input position; the
+//!   batches and the `vstar-serve` daemon, which all call `recognize`). The
+//!   frontier is a first-in-first-out bucket per input position; the
 //!   characters, hash-consed stack nodes, buckets and visited set live in a
-//!   per-thread scratch that every call reuses (dropped again after very
-//!   large inputs). The scan processes configurations by ascending position
-//!   and, within a position, in the order they were queued. Its
+//!   per-thread scratch that every call reuses in place (dropped again after
+//!   very large inputs). The scan processes configurations by ascending
+//!   position and, within a position, in the order they were queued. Its
 //!   configuration budget depends on that order: it admits the first
 //!   `MAX_SCAN_CONFIGS` configurations in it, so an input that exhausts the
 //!   budget gets the same verdict on every run, and an ambiguous input the
 //!   same reading.
+//! * **The scan's cost follows the input's ambiguity.** Every tokenizer
+//!   matcher is folded, when the artifact is assembled, into one product DFA
+//!   with a dense `state × ASCII class` table whose states are labelled with
+//!   the candidate they report (its size capped by [`MAX_PRODUCT_SIZE`]), so
+//!   finding the candidate at a position is a single run that usually dies
+//!   at its first character. A lone
+//!   configuration over plain text (one configuration queued, none further
+//!   ahead, no candidate here) is stepped in place like
+//!   [`CompiledGrammar::recognize_word`]: one table step per character, still
+//!   charged one unit of the budget. Configurations are deduplicated by
+//!   walking their position's short bucket; only a position that crowds
+//!   past a few configurations pays for hashing.
 //!
 //! `CompiledGrammar` is `Send + Sync + Clone + 'static`, serializes to a
 //! versioned on-disk format ([`CompiledGrammar::save`] /
@@ -56,10 +65,12 @@
 //! live in [`crate::serve`]. Compile once with [`CompileLearned::compile`],
 //! serve forever.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use serde::Serialize;
 
@@ -98,6 +109,13 @@ pub enum CompileError {
         /// The configured budget.
         limit: usize,
     },
+    /// The tokenizer's matchers folded into one DFA exceeded
+    /// [`MAX_PRODUCT_SIZE`]. Learned matchers are small literals and
+    /// character classes; a tokenizer this large is hostile or corrupt.
+    MatcherTooLarge {
+        /// The size budget.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -107,6 +125,9 @@ impl fmt::Display for CompileError {
                 f,
                 "derivative automaton exceeded the state budget ({states} states, limit {limit})"
             ),
+            CompileError::MatcherTooLarge { limit } => {
+                write!(f, "token matcher product exceeded the size budget (limit {limit})")
+            }
         }
     }
 }
@@ -538,15 +559,18 @@ impl Hasher for FastHasher {
 type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
-/// One tokenizer matcher (a literal or a DFA) compiled for the scan: the
-/// states reachable from the start, renumbered densely, with a
-/// `state × ASCII class` transition table and the non-ASCII transitions in a
-/// sorted list. Derived from the tokenizer when the artifact is assembled;
-/// never persisted.
+/// The tokenizer's matchers folded into one DFA for the scan. A state is the
+/// tuple of the live matchers' states, in pair order (call before return),
+/// numbered densely from the start tuple in breadth-first order; a matcher
+/// that died, or that can no longer accept, is left out of the tuple. A
+/// state is labelled with the first matcher of its tuple that accepts there,
+/// so the first labelled state on a run is the learning-time match rule:
+/// the shortest match, with the earlier pair, then the call matcher, winning
+/// ties. A run stops there, so labelled states have no transitions. Derived
+/// from the tokenizer when the artifact is assembled; never persisted.
 #[derive(Clone, Debug)]
-struct DenseMatcher {
-    accepting: Vec<bool>,
-    /// ASCII character → column of `ascii_trans` (0: no transition).
+struct ProductMatcher {
+    /// ASCII character → column of `ascii_trans` (0: no matcher reads it).
     class: [u8; 128],
     columns: usize,
     /// `[state * columns + class] → state` (or [`DEAD`]); state 0 is the
@@ -554,130 +578,184 @@ struct DenseMatcher {
     ascii_trans: Vec<u32>,
     /// `((state, char), state)` for non-ASCII characters, sorted.
     other: Vec<((u32, char), u32)>,
+    /// `(pair, kind)` of the first matcher accepting in each state.
+    label: Vec<Option<(u32, TokenKind)>>,
 }
 
-impl DenseMatcher {
-    fn new(matcher: &TokenMatcher) -> Self {
-        let literal;
-        let dfa = match matcher {
-            TokenMatcher::Literal(lit) => {
-                literal = Dfa::literal(Vec::new(), lit);
-                &literal
+/// Size budget of the product matcher: one unit per transition-table cell,
+/// per matcher state listed in a product state and per matcher transition
+/// read while building it. Learned tokenizers stay far below it; it bounds
+/// the time and memory a hostile artifact can make loading spend.
+pub const MAX_PRODUCT_SIZE: usize = 1 << 20;
+
+/// The states of `dfa` reachable from its start that can still reach an
+/// accepting state.
+fn can_accept(dfa: &Dfa) -> HashSet<usize> {
+    let mut preds: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut reached = HashSet::from([dfa.initial()]);
+    let mut todo = vec![dfa.initial()];
+    while let Some(s) = todo.pop() {
+        for &c in dfa.alphabet() {
+            if let Some(t) = dfa.delta(s, c) {
+                preds.entry(t).or_default().push(s);
+                if reached.insert(t) {
+                    todo.push(t);
+                }
             }
-            TokenMatcher::Dfa(dfa) => dfa,
-        };
+        }
+    }
+    let mut alive: HashSet<usize> =
+        dfa.accepting().iter().copied().filter(|s| reached.contains(s)).collect();
+    let mut todo: Vec<usize> = alive.iter().copied().collect();
+    while let Some(t) = todo.pop() {
+        for &s in preds.get(&t).into_iter().flatten() {
+            if alive.insert(s) {
+                todo.push(s);
+            }
+        }
+    }
+    alive
+}
+
+impl ProductMatcher {
+    fn new(tokenizer: &PartialTokenizer) -> Result<Self, CompileError> {
+        let dfas: Vec<Cow<'_, Dfa>> = tokenizer
+            .pairs()
+            .iter()
+            .flat_map(|p| [&p.call, &p.ret])
+            .map(|m| match m {
+                TokenMatcher::Literal(lit) => Cow::Owned(Dfa::literal(Vec::new(), lit)),
+                TokenMatcher::Dfa(dfa) => Cow::Borrowed(dfa),
+            })
+            .collect();
+        let alive: Vec<HashSet<usize>> = dfas.iter().map(|d| can_accept(d)).collect();
+        let alphabet: BTreeSet<char> =
+            dfas.iter().flat_map(|d| d.alphabet().iter().copied()).collect();
         let mut class = [0u8; 128];
         let mut columns = 1usize;
-        for &c in dfa.alphabet() {
-            if (c as u32) < 128 && class[c as usize] == 0 {
-                class[c as usize] = columns as u8;
-                columns += 1;
-            }
+        for &c in alphabet.iter().filter(|c| c.is_ascii()) {
+            class[c as usize] = columns as u8;
+            columns += 1;
         }
-        // Breadth-first renumbering of the reachable states: tables grow with
-        // the automaton, not with the state count a document declares.
-        let mut dense: HashMap<usize, u32> = HashMap::from([(dfa.initial(), 0)]);
-        let mut order = vec![dfa.initial()];
-        let mut i = 0;
-        while i < order.len() {
-            let s = order[i];
-            i += 1;
-            for &c in dfa.alphabet() {
-                if let Some(t) = dfa.delta(s, c) {
-                    dense.entry(t).or_insert_with(|| {
-                        order.push(t);
-                        order.len() as u32 - 1
-                    });
-                }
+        let mut size = 0usize;
+        let mut charge = |units: usize| {
+            size += units;
+            if size > MAX_PRODUCT_SIZE {
+                return Err(CompileError::MatcherTooLarge { limit: MAX_PRODUCT_SIZE });
             }
-        }
-        let mut ascii_trans = vec![DEAD; order.len() * columns];
+            Ok(())
+        };
+        let label_of = |live: &[(u32, u32)]| {
+            let &(m, _) = live
+                .iter()
+                .find(|&&(m, s)| dfas[m as usize].accepting().contains(&(s as usize)))?;
+            let kind = if m % 2 == 0 { TokenKind::Call } else { TokenKind::Return };
+            Some((m / 2, kind))
+        };
+
+        // The transitions out of each reached matcher state into states that
+        // can still accept, by character (a loaded DFA may list a character
+        // twice in its alphabet).
+        let mut out: HashMap<(u32, u32), Vec<(char, u32)>> = HashMap::new();
+        let transitions = |m: u32, s: u32| {
+            let dfa = &dfas[m as usize];
+            let mut moves: Vec<(char, u32)> = dfa
+                .alphabet()
+                .iter()
+                .filter_map(|&c| dfa.delta(s as usize, c).map(|t| (c, t)))
+                .filter(|(_, t)| alive[m as usize].contains(t))
+                .map(|(c, t)| (c, t as u32))
+                .collect();
+            moves.sort_unstable();
+            moves.dedup();
+            moves
+        };
+        // A product state lists its `(matcher, matcher state)` pairs in
+        // matcher order. Each tuple is stored once, shared by `index` and
+        // `states`. The start is not indexed: a run that returns to its tuple
+        // reaches a new state, labelled like any other.
+        let start: Rc<[(u32, u32)]> = (0..dfas.len())
+            .filter(|&m| alive[m].contains(&dfas[m].initial()))
+            .map(|m| (m as u32, dfas[m].initial() as u32))
+            .collect();
+        charge(start.len())?;
+        let mut index: HashMap<Rc<[(u32, u32)]>, u32> = HashMap::new();
+        let mut states = vec![start];
+        // No token is empty, so the start's own label is never read.
+        let mut label = vec![None];
+        let mut ascii_trans = Vec::new();
         let mut other = Vec::new();
-        for (from, &s) in order.iter().enumerate() {
-            for &c in dfa.alphabet() {
-                let Some(t) = dfa.delta(s, c) else { continue };
-                if (c as u32) < 128 {
-                    ascii_trans[from * columns + class[c as usize] as usize] = dense[&t];
-                } else {
-                    other.push(((from as u32, c), dense[&t]));
+        let mut from = 0;
+        while from < states.len() {
+            charge(columns)?;
+            let mut row = vec![DEAD; columns];
+            if label[from].is_none() {
+                let mut moves: BTreeMap<char, Vec<(u32, u32)>> = BTreeMap::new();
+                for &(m, s) in states[from].iter() {
+                    let steps = out.entry((m, s)).or_insert_with(|| transitions(m, s));
+                    charge(steps.len())?;
+                    for &(c, t) in steps.iter() {
+                        moves.entry(c).or_default().push((m, t));
+                    }
+                }
+                for (c, next) in moves {
+                    let to = match index.get(next.as_slice()) {
+                        Some(&to) => to,
+                        None => {
+                            charge(next.len())?;
+                            let to = states.len() as u32;
+                            let next: Rc<[(u32, u32)]> = next.into();
+                            label.push(label_of(&next));
+                            index.insert(Rc::clone(&next), to);
+                            states.push(next);
+                            to
+                        }
+                    };
+                    if c.is_ascii() {
+                        row[class[c as usize] as usize] = to;
+                    } else {
+                        // Ascending `(from, c)`: the list comes out sorted.
+                        other.push(((from as u32, c), to));
+                    }
                 }
             }
+            ascii_trans.extend(row);
+            from += 1;
         }
-        other.sort_unstable();
-        other.dedup();
-        let accepting = order.iter().map(|s| dfa.accepting().contains(s)).collect();
-        DenseMatcher { accepting, class, columns, ascii_trans, other }
+        Ok(ProductMatcher { class, columns, ascii_trans, other, label })
     }
 
-    /// Whether some token of this matcher begins with ASCII character `c`.
-    fn starts_with(&self, c: usize) -> bool {
-        self.ascii_trans[self.class[c] as usize] != DEAD
-    }
-
-    /// Length of the shortest non-empty prefix of `rest` this matcher
-    /// accepts, looking at most `limit` characters ahead.
     #[inline]
-    fn shortest_match(&self, rest: &[char], limit: usize) -> Option<usize> {
-        let mut state = 0u32;
-        for (i, &c) in rest.iter().take(limit).enumerate() {
-            let v = c as u32;
-            state = if v < 128 {
-                self.ascii_trans[state as usize * self.columns + self.class[v as usize] as usize]
-            } else {
-                match self.other.binary_search_by_key(&(state, c), |&(key, _)| key) {
-                    Ok(at) => self.other[at].1,
-                    Err(_) => DEAD,
-                }
-            };
-            if state == DEAD {
-                return None;
-            }
-            if self.accepting[state as usize] {
-                return Some(i + 1);
+    fn step(&self, state: u32, c: char) -> u32 {
+        let v = c as u32;
+        if v < 128 {
+            self.ascii_trans[state as usize * self.columns + self.class[v as usize] as usize]
+        } else {
+            match self.other.binary_search_by_key(&(state, c), |&(key, _)| key) {
+                Ok(at) => self.other[at].1,
+                Err(_) => DEAD,
             }
         }
-        None
     }
-}
-
-/// One token pair as the scan uses it: both dense matchers and the
-/// classified codes of the pair's call and return markers.
-#[derive(Clone, Debug)]
-struct ScanPair {
-    call: DenseMatcher,
-    ret: DenseMatcher,
-    call_code: u32,
-    ret_code: u32,
 }
 
 /// The tokenizer compiled for the scan (derived from the artifact's
-/// tokenizer and automaton when it is assembled; never persisted).
+/// tokenizer and automaton when it is assembled; never persisted): the
+/// product matcher and the classified codes of each pair's call and return
+/// markers.
 #[derive(Clone, Debug)]
 struct TokenScan {
-    pairs: Vec<ScanPair>,
-    /// ASCII characters some matcher can begin a token with; at every other
-    /// ASCII character no pair matches.
-    may_start: [bool; 128],
+    matcher: ProductMatcher,
+    /// `(call code, return code)` per pair.
+    codes: Vec<(u32, u32)>,
 }
 
 impl TokenScan {
-    fn new(tokenizer: &PartialTokenizer, auto: &Automaton) -> Self {
-        let pairs: Vec<ScanPair> = tokenizer
-            .pairs()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ScanPair {
-                call: DenseMatcher::new(&p.call),
-                ret: DenseMatcher::new(&p.ret),
-                call_code: auto.classify(call_marker(i)),
-                ret_code: auto.classify(return_marker(i)),
-            })
+    fn new(tokenizer: &PartialTokenizer, auto: &Automaton) -> Result<Self, CompileError> {
+        let codes = (0..tokenizer.pairs().len())
+            .map(|i| (auto.classify(call_marker(i)), auto.classify(return_marker(i))))
             .collect();
-        let mut may_start = [false; 128];
-        for (c, slot) in may_start.iter_mut().enumerate() {
-            *slot = pairs.iter().any(|p| p.call.starts_with(c) || p.ret.starts_with(c));
-        }
-        TokenScan { pairs, may_start }
+        Ok(TokenScan { matcher: ProductMatcher::new(tokenizer)?, codes })
     }
 }
 
@@ -721,13 +799,32 @@ struct ScanScratch {
     frontier: Frontier,
 }
 
+/// One position's FIFO list of configurations in the frontier's arena.
+#[derive(Copy, Clone, Debug)]
+struct Bucket {
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket { first: NIL, last: NIL, len: 0 };
+}
+
+/// Buckets of up to this many configurations are deduplicated by walking
+/// their list; a bucket that grows past it moves its configurations into the
+/// frontier's hash set, so only a position that crowds pays for hashing.
+const LOCAL_DEDUP: u32 = 8;
+
 /// The scan frontier: one FIFO bucket per input position, threaded through a
-/// single arena of configurations, plus the visited set and the budget.
+/// single arena of configurations, plus the visited set of the crowded
+/// buckets and the budget.
 #[derive(Default)]
 struct Frontier {
     configs: Vec<Config>,
-    /// `(first, last)` configuration of each position's bucket.
-    buckets: Vec<(u32, u32)>,
+    buckets: Vec<Bucket>,
+    /// `(position, state, stack)` of every configuration in a bucket of more
+    /// than [`LOCAL_DEDUP`] configurations.
     visited: FastSet<(usize, u32, u32)>,
     budget: usize,
     /// Highest position with a queued configuration.
@@ -740,35 +837,115 @@ impl Frontier {
     fn reset(&mut self, positions: usize) {
         self.configs.clear();
         self.buckets.clear();
-        self.buckets.resize(positions, (NIL, NIL));
-        self.visited.clear();
+        self.buckets.resize(positions, Bucket::EMPTY);
+        // Clearing wipes every control byte even of an empty table.
+        if !self.visited.is_empty() {
+            self.visited.clear();
+        }
         self.budget = MAX_SCAN_CONFIGS;
         self.last = 0;
         self.exhausted = false;
+    }
+
+    /// Whether `(pos, state, stack)` is queued already.
+    #[inline]
+    fn contains(&self, pos: usize, state: u32, stack: u32) -> bool {
+        let bucket = self.buckets[pos];
+        if bucket.len > LOCAL_DEDUP {
+            return self.visited.contains(&(pos, state, stack));
+        }
+        let mut at = bucket.first;
+        while at != NIL {
+            let c = &self.configs[at as usize];
+            if c.state == state && c.stack == stack {
+                return true;
+            }
+            at = c.next;
+        }
+        false
     }
 
     /// Queues `(pos, state, stack)` at the back of its bucket unless it was
     /// queued before or the budget is spent.
     #[inline]
     fn push(&mut self, pos: usize, state: u32, stack: u32, trace: u32) {
-        if self.budget == 0 {
-            self.exhausted |= !self.visited.contains(&(pos, state, stack));
+        if self.contains(pos, state, stack) {
             return;
         }
-        if !self.visited.insert((pos, state, stack)) {
+        if self.budget == 0 {
+            self.exhausted = true;
             return;
         }
         self.budget -= 1;
         let ix = self.configs.len() as u32;
         self.configs.push(Config { state, stack, trace, next: NIL });
         let bucket = &mut self.buckets[pos];
-        if bucket.0 == NIL {
-            bucket.0 = ix;
+        if bucket.first == NIL {
+            bucket.first = ix;
         } else {
-            self.configs[bucket.1 as usize].next = ix;
+            self.configs[bucket.last as usize].next = ix;
         }
-        bucket.1 = ix;
+        bucket.last = ix;
+        bucket.len += 1;
+        if bucket.len == LOCAL_DEDUP + 1 {
+            let mut at = bucket.first;
+            while at != NIL {
+                let c = self.configs[at as usize];
+                self.visited.insert((pos, c.state, c.stack));
+                at = c.next;
+            }
+        } else if bucket.len > LOCAL_DEDUP {
+            self.visited.insert((pos, state, stack));
+        }
         self.last = self.last.max(pos);
+    }
+
+    /// Steps the lone configuration queued at `pos` through plain
+    /// characters in place, as [`CompiledGrammar::recognize_word`] does: no
+    /// other configuration is queued at or beyond `pos` and no candidate
+    /// starts there. The run charges the budget one configuration per
+    /// character, as if the configuration were queued at every position it
+    /// passes, and stops at the next position where a candidate starts (returned
+    /// with it), at the end of the input, or when the run dies (`None`, the
+    /// configuration dropped, `exhausted` set where the budget refused the
+    /// step). `furthest` tracks every position the configuration reaches.
+    fn plain_run(
+        &mut self,
+        g: &CompiledGrammar,
+        chars: &[char],
+        mut pos: usize,
+        furthest: &mut usize,
+    ) -> Option<(usize, Option<Candidate>)> {
+        let at = self.buckets[pos].first;
+        let mut state = self.configs[at as usize].state;
+        let stepped = loop {
+            let code = g.auto.classify(chars[pos]);
+            if code >> 30 != KIND_PLAIN {
+                break None;
+            }
+            state = g.auto.plain_step(state, code & 0x3FFF_FFFF);
+            if state == DEAD {
+                break None;
+            }
+            if self.budget == 0 {
+                self.exhausted = true;
+                break None;
+            }
+            self.budget -= 1;
+            pos += 1;
+            *furthest = pos;
+            if pos == chars.len() {
+                break Some((pos, None));
+            }
+            if let Some(cand) = g.first_match_at(chars, pos) {
+                break Some((pos, Some(cand)));
+            }
+        };
+        let (to, _) = stepped?;
+        self.configs[at as usize].state = state;
+        self.buckets[to] = Bucket { first: at, last: at, len: 1 };
+        self.last = to;
+        stepped
     }
 }
 
@@ -1009,7 +1186,7 @@ impl CompiledGrammar {
                 ("nonterminals", vpg.nonterminal_count() as u64),
             ],
         );
-        let scan = TokenScan::new(&tokenizer, &auto);
+        let scan = TokenScan::new(&tokenizer, &auto)?;
         Ok(CompiledGrammar { vpg, tables, auto, tokenizer, mode, scan })
     }
 
@@ -1176,25 +1353,23 @@ impl CompiledGrammar {
     }
 
     /// First/shortest candidate token match at `chars[pos..]`, mirroring the
-    /// learning-time scanner's match rule (earlier pair wins ties, call before
-    /// return within a pair, shortest match per matcher).
+    /// learning-time scanner's match rule (shortest match, earlier pair and
+    /// then call before return winning ties): one run of the product matcher
+    /// to its first labelled state.
     #[inline]
     fn first_match_at(&self, chars: &[char], pos: usize) -> Option<Candidate> {
-        let rest = &chars[pos..];
-        if rest[0].is_ascii() && !self.scan.may_start[rest[0] as usize] {
-            return None;
-        }
-        let mut best: Option<Candidate> = None;
-        for (pair, p) in self.scan.pairs.iter().enumerate() {
-            for (kind, matcher) in [(TokenKind::Call, &p.call), (TokenKind::Return, &p.ret)] {
-                // Only a strictly shorter match can displace the best so far.
-                let limit = best.map_or(usize::MAX, |b| b.len as usize - 1);
-                if let Some(len) = matcher.shortest_match(rest, limit) {
-                    best = Some(Candidate { pair: pair as u32, kind, len: len as u32 });
-                }
+        let matcher = &self.scan.matcher;
+        let mut state = 0u32;
+        for (len, &c) in (1u32..).zip(&chars[pos..]) {
+            state = matcher.step(state, c);
+            if state == DEAD {
+                return None;
+            }
+            if let Some((pair, kind)) = matcher.label[state as usize] {
+                return Some(Candidate { pair, kind, len });
             }
         }
-        best
+        None
     }
 
     /// The state after reading `occ` as plain text from `state`, or `None`
@@ -1259,18 +1434,22 @@ impl CompiledGrammar {
     /// position, in the order they were queued; every branch moves forward,
     /// so a position's bucket is complete when the scan reaches it. The
     /// [`MAX_SCAN_CONFIGS`] budget therefore admits the same configurations
-    /// on every run. All working memory comes from the calling thread's
-    /// [`ScanScratch`]; `want_trace` records the take decisions that
-    /// [`CompiledGrammar::parse`] and [`CompiledGrammar::converted_word`]
-    /// need.
+    /// on every run. A lone configuration with nothing queued ahead of it
+    /// and no candidate at its position is stepped in place to the next
+    /// candidate ([`Frontier::plain_run`]): the one-position-at-a-time scan
+    /// would queue exactly those configurations, one per character, and no
+    /// later push can land on a position behind it. All working memory
+    /// comes from the calling thread's [`ScanScratch`]; `want_trace` records
+    /// the take decisions that [`CompiledGrammar::parse`] and
+    /// [`CompiledGrammar::converted_word`] need.
     fn scan_tokens(&self, s: &str, want_trace: bool) -> ScanOutcome {
         let outcome = SCAN_SCRATCH.with(|cell| {
-            let mut scratch = cell.take();
+            let mut scratch = cell.borrow_mut();
             let outcome = self.scan_in(&mut scratch, s, want_trace);
-            if scratch.chars.len() <= SCRATCH_KEEP_CHARS
-                && scratch.frontier.configs.len() <= SCRATCH_KEEP_CONFIGS
+            if scratch.chars.len() > SCRATCH_KEEP_CHARS
+                || scratch.frontier.configs.len() > SCRATCH_KEEP_CONFIGS
             {
-                cell.replace(scratch);
+                *scratch = ScanScratch::default();
             }
             outcome
         });
@@ -1287,7 +1466,10 @@ impl CompiledGrammar {
         chars.clear();
         chars.extend(s.chars());
         nodes.clear();
-        node_ix.clear();
+        // Clearing wipes every control byte even of an empty table.
+        if !node_ix.is_empty() {
+            node_ix.clear();
+        }
         traces.clear();
         let n = chars.len();
         frontier.reset(n + 1);
@@ -1297,14 +1479,22 @@ impl CompiledGrammar {
         let mut reached_end = false;
         let mut pos = 0usize;
         while pos <= frontier.last {
-            let mut at = frontier.buckets[pos].0;
-            if at == NIL {
+            let bucket = frontier.buckets[pos];
+            if bucket.first == NIL {
                 pos += 1;
                 continue;
             }
             furthest = pos;
             // Candidate matches depend only on the input: one per position.
-            let cand = if pos < n { self.first_match_at(chars, pos) } else { None };
+            let mut cand = if pos < n { self.first_match_at(chars, pos) } else { None };
+            if cand.is_none() && pos < n && bucket.len == 1 && frontier.last == pos {
+                // One configuration over plain text: step it in place.
+                let Some((to, at_to)) = frontier.plain_run(self, chars, pos, &mut furthest) else {
+                    break;
+                };
+                (pos, cand) = (to, at_to);
+            }
+            let mut at = frontier.buckets[pos].first;
             while at != NIL {
                 let Config { state, stack, trace, next } = frontier.configs[at as usize];
                 at = next;
@@ -1342,14 +1532,14 @@ impl CompiledGrammar {
                 let Some(cand) = cand else {
                     continue;
                 };
-                let pair = &self.scan.pairs[cand.pair as usize];
+                let (call_code, ret_code) = self.scan.codes[cand.pair as usize];
                 let occ = &chars[pos..pos + cand.len as usize];
                 // The occurrence's characters are the token's plain text:
                 // after the call marker, or before the return marker.
                 let next = match cand.kind {
                     TokenKind::Call => {
-                        let (body, sym) = if pair.call_code >> 30 == KIND_CALL {
-                            auto.call_step(state, pair.call_code & 0x3FFF_FFFF)
+                        let (body, sym) = if call_code >> 30 == KIND_CALL {
+                            auto.call_step(state, call_code & 0x3FFF_FFFF)
                         } else {
                             (DEAD, 0)
                         };
@@ -1364,9 +1554,9 @@ impl CompiledGrammar {
                         }
                     }
                     TokenKind::Return => match self.run_plains(state, occ) {
-                        Some(q) if pair.ret_code >> 30 == KIND_RETURN && stack != 0 => {
+                        Some(q) if ret_code >> 30 == KIND_RETURN && stack != 0 => {
                             let (below, sym) = nodes[stack as usize - 1];
-                            let after = auto.ret_step(q, sym, pair.ret_code & 0x3FFF_FFFF);
+                            let after = auto.ret_step(q, sym, ret_code & 0x3FFF_FFFF);
                             (after != DEAD).then_some((after, below))
                         }
                         _ => None,
@@ -1472,7 +1662,9 @@ pub trait CompileLearned {
     /// # Errors
     ///
     /// Returns [`CompileError::AutomatonTooLarge`] when the reachable
-    /// item-set automaton exceeds the state budget.
+    /// item-set automaton exceeds the state budget, and
+    /// [`CompileError::MatcherTooLarge`] when the tokenizer's product matcher
+    /// does.
     fn compile(&self) -> Result<CompiledGrammar, CompileError>;
 }
 

@@ -1,10 +1,11 @@
 //! The token scan as it was before the allocation-free rewrite, kept as a
-//! test-only reference: `BTreeMap` frontier, SipHash-keyed stack interning
-//! and visited set, `TokenMatcher`-walking matchers and fresh buffers per
-//! call. The helpers the rewrite left unchanged (the k-Repetition predicate,
-//! trace unwinding, converted-word assembly) are shared with the serving
-//! scan. The equivalence tests below feed it and the serving scan the same
-//! inputs and require identical verdicts, conversions, trees and errors.
+//! test-only reference: `BTreeMap` frontier stepped one position at a time,
+//! SipHash-keyed stack interning and visited set, a per-pair loop of
+//! `TokenMatcher`-walking matchers and fresh buffers per call. The helpers
+//! the rewrite left unchanged (the k-Repetition predicate, trace unwinding,
+//! converted-word assembly) are shared with the serving scan. The
+//! equivalence tests below feed it and the serving scan the same inputs and
+//! require identical verdicts, conversions, trees and errors.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -23,12 +24,20 @@ struct RefOutcome {
     takes: Option<Vec<(usize, Candidate)>>,
     furthest: usize,
     reached_end: bool,
+    exhausted: bool,
 }
 
 /// [`CompiledGrammar::recognize`] over the reference scan (token mode).
 pub(super) fn recognize(g: &CompiledGrammar, s: &str) -> bool {
     let chars: Vec<char> = s.chars().collect();
     scan_tokens(g, &chars, false).takes.is_some()
+}
+
+/// Whether the reference scan of `s` refused a configuration it had not seen
+/// for want of budget.
+pub(super) fn exhausted(g: &CompiledGrammar, s: &str) -> bool {
+    let chars: Vec<char> = s.chars().collect();
+    scan_tokens(g, &chars, false).exhausted
 }
 
 /// [`CompiledGrammar::converted_word`] over the reference scan (token mode).
@@ -58,7 +67,7 @@ pub(super) fn parse(g: &CompiledGrammar, s: &str) -> Result<ParseTree, ParseErro
     })
 }
 
-fn first_match_at(g: &CompiledGrammar, chars: &[char], pos: usize) -> Option<Candidate> {
+pub(super) fn first_match_at(g: &CompiledGrammar, chars: &[char], pos: usize) -> Option<Candidate> {
     let rest = &chars[pos..];
     let mut best: Option<Candidate> = None;
     for (pair, p) in g.tokenizer.pairs().iter().enumerate() {
@@ -85,23 +94,29 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
     let mut frontier: BTreeMap<usize, Vec<(u32, u32, u32)>> = BTreeMap::new();
     let mut visited: HashSet<(usize, u32, u32)> = HashSet::new();
     let mut budget = super::MAX_SCAN_CONFIGS;
+    let mut exhausted = false;
     let mut furthest = 0usize;
     let mut reached_end = false;
 
     let enqueue = |frontier: &mut BTreeMap<usize, Vec<(u32, u32, u32)>>,
                    visited: &mut HashSet<(usize, u32, u32)>,
                    budget: &mut usize,
+                   exhausted: &mut bool,
                    pos: usize,
                    state: u32,
                    stack: u32,
                    trace: u32| {
-        if *budget == 0 || !visited.insert((pos, state, stack)) {
+        if *budget == 0 {
+            *exhausted |= !visited.contains(&(pos, state, stack));
+            return;
+        }
+        if !visited.insert((pos, state, stack)) {
             return;
         }
         *budget -= 1;
         frontier.entry(pos).or_default().push((state, stack, trace));
     };
-    enqueue(&mut frontier, &mut visited, &mut budget, 0, auto.start, 0, 0);
+    enqueue(&mut frontier, &mut visited, &mut budget, &mut exhausted, 0, auto.start, 0, 0);
 
     while let Some((pos, bucket)) = frontier.pop_first() {
         furthest = furthest.max(pos);
@@ -112,6 +127,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
                         takes: Some(unwind_trace(&traces, trace)),
                         furthest: pos,
                         reached_end: true,
+                        exhausted,
                     };
                 }
                 reached_end = true;
@@ -132,6 +148,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
                             &mut frontier,
                             &mut visited,
                             &mut budget,
+                            &mut exhausted,
                             pos + 1,
                             s2,
                             stack,
@@ -197,6 +214,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
                     &mut frontier,
                     &mut visited,
                     &mut budget,
+                    &mut exhausted,
                     pos + cand.len as usize,
                     s2,
                     stack2,
@@ -205,7 +223,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
             }
         }
     }
-    RefOutcome { takes: None, furthest, reached_end }
+    RefOutcome { takes: None, furthest, reached_end, exhausted }
 }
 
 fn shortest_match_len(matcher: &TokenMatcher, rest: &[char]) -> Option<usize> {
@@ -239,29 +257,47 @@ mod support;
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use vstar::{Mat, VStar, VStarConfig};
+    use vstar::tokenizer::{call_marker, return_marker, TokenKind, TokenMatcher};
+    use vstar::{Mat, PartialTokenizer, TokenDiscovery, TokenPair, VStar, VStarConfig};
+    use vstar_automata::Dfa;
     use vstar_oracles::{table1_languages, Json, Language, Lisp};
+    use vstar_vpl::{Tagging, VpgBuilder};
 
-    use super::super::{CompileLearned, CompiledGrammar};
+    use super::super::{Candidate, CompileLearned, CompiledGrammar};
 
-    /// Learns `lang` with the default pipeline and compiles it.
-    fn compile(lang: &dyn Language) -> CompiledGrammar {
-        let oracle = |s: &str| lang.accepts(s);
-        let mat = Mat::new(&oracle);
-        let result = VStar::new(VStarConfig::default())
-            .learn(&mat, &lang.alphabet(), &lang.seeds())
-            .unwrap_or_else(|e| panic!("{}: learning failed: {e}", lang.name()));
-        result.compile().unwrap()
+    /// Learns `lang` with the default pipeline and compiles it, once per
+    /// Table-1 language for all tests of this module.
+    fn compile(lang: &dyn Language) -> &'static CompiledGrammar {
+        static LEARNED: [OnceLock<CompiledGrammar>; 5] = [const { OnceLock::new() }; 5];
+        let slot = table1_languages()
+            .iter()
+            .position(|l| l.name() == lang.name())
+            .expect("a Table-1 language");
+        LEARNED[slot].get_or_init(|| {
+            let oracle = |s: &str| lang.accepts(s);
+            let mat = Mat::new(&oracle);
+            let result = VStar::new(VStarConfig::default())
+                .learn(&mat, &lang.alphabet(), &lang.seeds())
+                .unwrap_or_else(|e| panic!("{}: learning failed: {e}", lang.name()));
+            result.compile().unwrap()
+        })
     }
 
     /// The serving scan and the reference scan give the same verdict,
-    /// conversion, tree and error on `s`.
+    /// conversion, tree, error and budget exhaustion on `s`.
     fn assert_scans_agree(g: &CompiledGrammar, name: &str, s: &str) {
         assert_eq!(g.recognize(s), super::recognize(g, s), "{name}: verdict on {s:?}");
         assert_eq!(g.converted_word(s), super::converted_word(g, s), "{name}: conversion of {s:?}");
         assert_eq!(g.parse(s), super::parse(g, s), "{name}: parse of {s:?}");
+        assert_eq!(
+            g.scan_tokens(s, false).exhausted,
+            super::exhausted(g, s),
+            "{name}: budget exhaustion on {s:?}"
+        );
     }
 
     /// Every corpus input of the artifact round-trip tests, three more
@@ -289,7 +325,7 @@ mod tests {
             }
             let mut members = 0usize;
             for s in &inputs {
-                assert_scans_agree(&g, lang.name(), s);
+                assert_scans_agree(g, lang.name(), s);
                 members += usize::from(g.recognize(s));
             }
             assert!(members >= 30, "{}: only {members} members", lang.name());
@@ -305,10 +341,6 @@ mod tests {
     /// any other order returns the other reading.
     #[test]
     fn ambiguous_readings_resolve_in_queue_order() {
-        use vstar::tokenizer::{call_marker, return_marker, TokenMatcher};
-        use vstar::{PartialTokenizer, TokenDiscovery, TokenPair};
-        use vstar_vpl::{Tagging, VpgBuilder};
-
         let (call, ret) = (call_marker(0), return_marker(0));
         let mut b = VpgBuilder::new(Tagging::from_pairs([(call, ret)]).unwrap());
         let [s, body, body_x, body_close, plain, plain_close, end] =
@@ -363,7 +395,7 @@ mod tests {
                 let at = rng.gen_range(0..mutant.len());
                 mutant[at] = alphabet[rng.gen_range(0..alphabet.len())];
                 for s in [doc, mutant.into_iter().collect()] {
-                    assert_scans_agree(&g, lang.name(), &s);
+                    assert_scans_agree(g, lang.name(), &s);
                     let outcome = g.scan_tokens(&s, false);
                     // An exhausted reject counts once per call.
                     let guard = vstar_telemetry::install();
@@ -377,5 +409,118 @@ mod tests {
         }
         assert!(exhausted > 0, "no document exhausted the scan budget");
         assert!(counted_rejects > 0, "no exhausted scan was counted");
+    }
+
+    /// Lisp atoms around the budget: an atom of `n` letters takes `n + 1`
+    /// configurations, all of them plain steps of one configuration, so the
+    /// budget runs out between 131 070 and 131 073 letters. The serving scan
+    /// steps such runs in place and must charge the budget and report the
+    /// exhaustion exactly where the reference refuses a configuration.
+    #[test]
+    fn serving_scan_matches_the_reference_at_the_budget_boundary() {
+        let g = compile(&Lisp::new());
+        let mut exhausted = 0usize;
+        for n in [10, 131_070, 131_071, 131_072, 131_073, 140_000] {
+            let atom = "a".repeat(n);
+            for s in [atom.clone(), format!("({atom})"), format!("(a {atom})")] {
+                assert_scans_agree(g, "lisp", &s);
+                exhausted += usize::from(g.scan_tokens(&s, false).exhausted);
+            }
+        }
+        assert!(g.recognize(&"a".repeat(10)));
+        assert!(exhausted > 0 && exhausted < 18, "{exhausted} of 18 inputs exhausted");
+    }
+
+    /// A hand-built tokenizer whose matchers overlap: equal shortest lengths
+    /// across pairs (`ab`: pair 0's return against pair 1's call) and within
+    /// one pair (`c`: pair 2's call DFA against its return literal; `λ`,
+    /// non-ASCII, in pair 3), and a longer match of an earlier pair against a
+    /// shorter one of a later pair (`xyz` for pair 0's call, `xy` for pair
+    /// 1's return). The product matcher must pick what the per-pair
+    /// reference picks at every position, and the scans must agree over a
+    /// grammar that takes every pair anywhere.
+    #[test]
+    fn product_matcher_keeps_the_match_rule_on_overlapping_matchers() {
+        let literal = |s: &str| TokenMatcher::Literal(s.to_string());
+        // `c d*`: accepts after its first character.
+        let c_then_ds = Dfa::new(
+            vec!['c', 'd'],
+            2,
+            0,
+            [1].into(),
+            [((0, 'c'), 1), ((1, 'd'), 1)].into_iter().collect(),
+        );
+        let mut tokenizer = PartialTokenizer::new();
+        for (call, ret) in [
+            (literal("xyz"), literal("ab")),
+            (literal("ab"), literal("xy")),
+            (TokenMatcher::Dfa(c_then_ds), literal("c")),
+            (literal("λ"), literal("λ")),
+        ] {
+            tokenizer.push_pair(TokenPair { call, ret });
+        }
+        let pairs = tokenizer.pairs().len();
+        let tagging = Tagging::from_pairs((0..pairs).map(|i| (call_marker(i), return_marker(i))));
+        let mut b = VpgBuilder::new(tagging.unwrap());
+        let s = b.nonterminal("S");
+        b.empty_rule(s);
+        for plain in ['a', 'b', 'c', 'd', 'x', 'y', 'z', 'λ'] {
+            b.linear_rule(s, plain, s);
+        }
+        for i in 0..pairs {
+            b.match_rule(s, call_marker(i), s, return_marker(i), s);
+        }
+        let g = CompiledGrammar::assemble(b.build(s).unwrap(), tokenizer, TokenDiscovery::Tokens)
+            .unwrap();
+
+        let cand = |s: &str| {
+            let chars: Vec<char> = s.chars().collect();
+            g.first_match_at(&chars, 0).map(|c| (c.pair, c.kind, c.len))
+        };
+        assert_eq!(cand("ab"), Some((0, TokenKind::Return, 2)));
+        assert_eq!(cand("xyz"), Some((1, TokenKind::Return, 2)));
+        assert_eq!(cand("cdd"), Some((2, TokenKind::Call, 1)));
+        assert_eq!(cand("λ"), Some((3, TokenKind::Call, 1)));
+        assert_eq!(cand("zab"), None);
+
+        let same = |a: Option<Candidate>, b: Option<Candidate>| {
+            a.map(|c| (c.pair, c.kind, c.len)) == b.map(|c| (c.pair, c.kind, c.len))
+        };
+        let alphabet = ['a', 'b', 'c', 'd', 'x', 'y', 'z', 'λ'];
+        for w in vstar_vpl::words::all_strings(&alphabet, 4) {
+            let chars: Vec<char> = w.chars().collect();
+            for pos in 0..chars.len() {
+                assert!(
+                    same(g.first_match_at(&chars, pos), super::first_match_at(&g, &chars, pos)),
+                    "candidate at {pos} of {w:?}"
+                );
+            }
+            assert_scans_agree(&g, "overlapping", &w);
+        }
+    }
+
+    /// Seeded random strings of 0–200 characters over each Table-1 alphabet
+    /// and the characters of its learned tokenizer's matchers (drawn twice as
+    /// often), against the reference.
+    #[test]
+    fn serving_scan_matches_the_reference_on_random_strings() {
+        for (seed, lang) in (0x7A1D..).zip(table1_languages()) {
+            let g = compile(lang.as_ref());
+            let mut pool = lang.alphabet();
+            for pair in g.tokenizer().pairs() {
+                for matcher in [&pair.call, &pair.ret] {
+                    match matcher {
+                        TokenMatcher::Literal(lit) => pool.extend(lit.chars()),
+                        TokenMatcher::Dfa(dfa) => pool.extend(dfa.alphabet()),
+                    }
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..48 {
+                let len = rng.gen_range(0..=200);
+                let s: String = (0..len).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                assert_scans_agree(g, lang.name(), &s);
+            }
+        }
     }
 }

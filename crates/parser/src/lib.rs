@@ -64,7 +64,9 @@ pub mod serve;
 pub mod tree;
 
 pub use artifact::{ArtifactError, ARTIFACT_VERSION, MAX_MATCHER_STATES};
-pub use compiled::{CompileError, CompileLearned, CompiledGrammar, GrammarStats, TableView};
+pub use compiled::{
+    CompileError, CompileLearned, CompiledGrammar, GrammarStats, TableView, MAX_PRODUCT_SIZE,
+};
 pub use error::{ParseError, ParseErrorKind};
 pub use recognizer::VpgParser;
 pub use sampler::GrammarSampler;

@@ -1,16 +1,22 @@
 //! End-to-end daemon tests over real sockets: concurrent multi-grammar
 //! serving, hot reload with pinned streaming sessions, admin endpoints,
 //! stream/query agreement on a token-mode grammar, chunk boundaries that
-//! split codepoints, and the streamed-input cap, all driven through the
-//! framed protocol.
+//! split codepoints, the streamed-input cap and seeded random frame
+//! streams, all driven through the framed protocol.
 
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vstar_oracles::{Language, Lisp};
 use vstar_parser::{CompileLearned, CompiledGrammar};
-use vstar_serve::{AccessLog, Client, ClientError, Daemon, GrammarRegistry, MAX_FRAME_LEN};
+use vstar_serve::{
+    encode_named, op, read_frame, AccessLog, Client, ClientError, Daemon, GrammarRegistry,
+    MAX_FRAME_LEN,
+};
 use vstar_telemetry::MetricsRegistry;
 use vstar_vpl::grammar::figure1_grammar;
 use vstar_vpl::{Tagging, VpgBuilder};
@@ -423,4 +429,102 @@ fn protocol_errors_are_counted_and_survivable() {
     let snap = metrics.snapshot();
     assert!(snap.totals.errors >= 3, "{:?}", snap.totals);
     assert!(snap.connections.iter().any(|r| r.grammar == "_protocol" && r.counts.errors > 0));
+}
+
+/// One seeded client byte stream: 1–8 frames with valid and bogus opcodes
+/// and payloads, some declaring a length (up to 64 KiB) other than the bytes
+/// that follow, and the whole stream sometimes cut short.
+fn random_frame_stream(rng: &mut StdRng, artifact: &str) -> Vec<u8> {
+    let names: [&[u8]; 4] = [b"fig1", b"dyck", b"nope", b"\xff\xfe"];
+    let inputs: [&[u8]; 5] = [b"agcdcdhbcd", b"cd", b"(x(x))x", b")(", b"\xe2\x8a"];
+    let mut out = Vec::new();
+    for _ in 0..rng.gen_range(1..=8) {
+        let name = names[rng.gen_range(0..names.len())];
+        let input = inputs[rng.gen_range(0..inputs.len())];
+        let payload = match rng.gen_range(0..10) {
+            0 => [&[op::HELLO][..], if rng.gen_bool(0.5) { b"fuzz" } else { b"" }].concat(),
+            1 => [&[op::BEGIN][..], name].concat(),
+            2 => [&[op::DATA][..], input].concat(),
+            3 => vec![op::END],
+            4 => {
+                let name = std::str::from_utf8(name).unwrap_or("fig1");
+                let mut q = encode_named(op::QUERY, name, input);
+                if rng.gen_bool(0.2) {
+                    q[1] = rng.gen_range(0..=u8::MAX);
+                }
+                q
+            }
+            5 => {
+                let paths = ["/healthz", "/metrics", "/grammars", "/nope"];
+                [&[op::ADMIN][..], paths[rng.gen_range(0..paths.len())].as_bytes()].concat()
+            }
+            6 => {
+                let name = std::str::from_utf8(name).unwrap_or("dyck");
+                let doc = if rng.gen_bool(0.3) { artifact } else { "{\"format\": 1}" };
+                encode_named(op::PUBLISH, name, doc.as_bytes())
+            }
+            7 => Vec::new(),
+            _ => (0..rng.gen_range(0..16)).map(|_| rng.gen_range(0..=u8::MAX)).collect(),
+        };
+        let declared =
+            if rng.gen_bool(0.15) { rng.gen_range(0..=64 << 10) } else { payload.len() as u32 };
+        out.extend_from_slice(&declared.to_be_bytes());
+        out.extend_from_slice(&payload);
+    }
+    if rng.gen_bool(0.2) {
+        out.truncate(rng.gen_range(0..out.len()));
+    }
+    out
+}
+
+/// Panics on threads without a name: the daemon's accept and connection
+/// threads (test threads carry their test's name).
+static DAEMON_THREAD_PANICS: AtomicUsize = AtomicUsize::new(0);
+
+#[test]
+fn random_frame_streams_never_panic_the_daemon() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if std::thread::current().name().is_none() {
+            DAEMON_THREAD_PANICS.fetch_add(1, Ordering::SeqCst);
+        }
+        default_hook(info);
+    }));
+    let (daemon, _registry, _metrics, _log) = start_daemon();
+    let addr = daemon.addr();
+    let artifact = dyck().to_json();
+    let mut rng = StdRng::seed_from_u64(0xF2A3E);
+    let mut answered = 0usize;
+    for case in 0..64 {
+        let stream = random_frame_stream(&mut rng, &artifact);
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut replies = conn.try_clone().unwrap();
+        // Drain replies while writing, so neither side blocks on a full
+        // socket buffer; the daemon closes after a clean EOF or a bad frame.
+        let reader = std::thread::spawn(move || {
+            let mut verdicts = 0usize;
+            while let Ok(Some(reply)) = read_frame(&mut replies) {
+                verdicts += usize::from(reply == b"+accept" || reply == b"+reject");
+            }
+            verdicts
+        });
+        // A daemon thread that panicked has closed the socket, so a write
+        // may fail; the panic check below reports it.
+        let _ = conn.write_all(&stream);
+        let _ = conn.shutdown(Shutdown::Write);
+        answered += reader.join().unwrap();
+
+        let mut admin = Client::connect(addr, "admin").unwrap();
+        let health = admin.admin("/healthz").unwrap();
+        assert!(health.starts_with("ok "), "case {case}: {health}");
+        let metrics = admin.admin("/metrics").unwrap();
+        let requests: usize = metrics
+            .lines()
+            .filter(|l| l.starts_with("vstar_requests_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
+            .sum();
+        assert_eq!(requests, answered, "case {case}: stream {stream:?}");
+        assert_eq!(DAEMON_THREAD_PANICS.load(Ordering::SeqCst), 0, "case {case}: {stream:?}");
+    }
+    assert!(answered > 0, "no stream got a verdict");
 }
