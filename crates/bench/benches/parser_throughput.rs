@@ -3,7 +3,9 @@
 //! the hot path of precision evaluation and of every future fuzzing/serving
 //! workload, so its per-character cost is tracked here; comparing the
 //! `recognize` series across input sizes also sanity-checks the linear-time
-//! claim (time should scale with length, not blow up).
+//! claim (time should scale with length, not blow up). The
+//! `recognize_raw_short` series times the raw token scan on short inputs of
+//! the five plain Table-1 grammars.
 
 use std::hint::black_box;
 
@@ -11,7 +13,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use vstar_parser::{CompiledGrammar, GrammarSampler, VpgParser};
+use vstar_bench::{learn_plain, raw_corpus};
+use vstar_oracles::table1_languages;
+use vstar_parser::{CompileLearned, CompiledGrammar, GrammarSampler, VpgParser};
 use vstar_vpl::grammar::figure1_grammar;
 use vstar_vpl::{vpa_to_vpg, Tagging, VpaBuilder, Vpg};
 
@@ -77,6 +81,21 @@ fn bench_parser_throughput(c: &mut Criterion) {
         &dyck_input,
         |b, input| b.iter(|| black_box(dyck_compiled.recognize_word(input))),
     );
+
+    // Raw token-mode recognition of short inputs, the serving path of
+    // `recognize`: generated members of each plain Table-1 grammar and a
+    // one-character mutant of each (the parameter names the grammar and the
+    // corpus's bytes).
+    for lang in table1_languages() {
+        let compiled = learn_plain(lang.as_ref()).compile().expect("the bundled grammars compile");
+        let inputs = raw_corpus(lang.as_ref(), 1, 40, 200);
+        let bytes: usize = inputs.iter().map(String::len).sum();
+        group.bench_with_input(
+            BenchmarkId::new("recognize_raw_short", format!("{}_{bytes}B", lang.name())),
+            &inputs,
+            |b, inputs| b.iter(|| inputs.iter().filter(|s| compiled.recognize(s)).count()),
+        );
+    }
 
     let sampler = GrammarSampler::new(&fig1);
     group.bench_function("sample_fig1_budget64", |b| {

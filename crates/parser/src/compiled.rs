@@ -36,27 +36,37 @@
 //!   [`CompiledGrammar::recognize`], [`CompiledGrammar::parse`] and
 //!   [`CompiledGrammar::converted_word`] share one scan (and so do sessions,
 //!   batches and the `vstar-serve` daemon, which all call `recognize`). The
-//!   frontier is a first-in-first-out bucket per input position; the
-//!   characters, hash-consed stack nodes, buckets and visited set live in a
-//!   per-thread scratch that every call reuses in place (dropped again after
-//!   very large inputs). The scan processes configurations by ascending
-//!   position and, within a position, in the order they were queued. Its
-//!   configuration budget depends on that order: it admits the first
-//!   `MAX_SCAN_CONFIGS` configurations in it, so an input that exhausts the
-//!   budget gets the same verdict on every run, and an ambiguous input the
-//!   same reading.
-//! * **The scan's cost follows the input's ambiguity.** Every tokenizer
-//!   matcher is folded, when the artifact is assembled, into one product DFA
-//!   with a dense `state × ASCII class` table whose states are labelled with
-//!   the candidate they report (its size capped by [`MAX_PRODUCT_SIZE`]), so
-//!   finding the candidate at a position is a single run that usually dies
-//!   at its first character. A lone
-//!   configuration over plain text (one configuration queued, none further
-//!   ahead, no candidate here) is stepped in place like
-//!   [`CompiledGrammar::recognize_word`]: one table step per character, still
-//!   charged one unit of the budget. Configurations are deduplicated by
-//!   walking their position's short bucket; only a position that crowds
-//!   past a few configurations pays for hashing.
+//!   frontier is a first-in-first-out bucket per input position; the walk's
+//!   stack, the characters, hash-consed stack nodes, buckets and visited set
+//!   live in a per-thread scratch that every call reuses in place (dropped
+//!   again after very large inputs). The scan processes configurations by
+//!   ascending position and, within a position, in the order they were
+//!   queued. Its configuration budget depends on that order: it admits the
+//!   first `MAX_SCAN_CONFIGS` configurations in it, so an input that exhausts
+//!   the budget gets the same verdict on every run, and an ambiguous input
+//!   the same reading.
+//! * **A lone configuration walks one table.** When the artifact is
+//!   assembled, the automaton and the tokenizer are folded into one walk
+//!   table with a cell per `(state, ASCII character class)` (derived data,
+//!   not part of the file format): the next state of a plain step, a
+//!   one-character call or return token taken in place, a fork (both
+//!   readings of a one-character token survive, each precomputed), dead, or
+//!   a stop where the table cannot decide (a longer token may start). The
+//!   scan starts by walking the input's bytes through it before any scratch
+//!   set-up, charging one unit of the budget per step as queueing would. At
+//!   a stop it matches the candidate token with the product of the
+//!   tokenizer's matchers (one DFA, its size capped by [`MAX_PRODUCT_SIZE`])
+//!   and tries both readings; while only one survives, the walk steps it in
+//!   place, multi-character tokens included.
+//! * **The frontier starts only where two readings survive.** There, or at
+//!   the first non-ASCII character, the walk hands its configuration to the
+//!   frontier: its stack is interned into hash-consed nodes, its take traces
+//!   carry over, and the frontier resumes at that position without
+//!   re-scanning. Frontier configurations step through the same table. When
+//!   one configuration is left with nothing queued ahead, the walk takes it
+//!   back. Configurations are deduplicated by walking their position's short
+//!   bucket; only a position that crowds past a few configurations pays for
+//!   hashing.
 //!
 //! `CompiledGrammar` is `Send + Sync + Clone + 'static`, serializes to a
 //! versioned on-disk format ([`CompiledGrammar::save`] /
@@ -70,6 +80,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use serde::Serialize;
@@ -215,11 +226,60 @@ impl Automaton {
             _ => false,
         }
     }
+
+    /// The state after reading `c` as plain text from `state` ([`DEAD`]
+    /// when `c` is no plain character or the run dies).
+    #[inline]
+    fn plain_char(&self, state: u32, c: char) -> u32 {
+        let code = self.classify(c);
+        if code >> 30 == KIND_PLAIN {
+            self.plain_step(state, code & 0x3FFF_FFFF)
+        } else {
+            DEAD
+        }
+    }
+
+    /// The state after reading `occ` as plain text from `state`, or `None`
+    /// when the run dies.
+    #[inline]
+    fn run_plains(&self, mut state: u32, occ: impl IntoIterator<Item = char>) -> Option<u32> {
+        for c in occ {
+            state = self.plain_char(state, c);
+            if state == DEAD {
+                return None;
+            }
+        }
+        Some(state)
+    }
+
+    /// The compiled k-Repetition predicate: the occurrence read from `state`
+    /// is repeatable-in-place exactly when the automaton loops on it
+    /// (`state ──occ──▶ q₁ ──occ──▶ q₁`), in which case `occᵏ` keeps the word
+    /// derivable for every `k` — the word-level analog of Algorithm 5's
+    /// membership check, answered by the tables alone.
+    ///
+    /// This is deliberately *narrower* than the oracle check it replaces: a
+    /// grammar whose plain reading of `occ` loops only after a pre-period
+    /// (`q₁ ──occ──▶ q₂ ──occ──▶ q₂` with `q₁ ≠ q₂`) would be denied the skip
+    /// even though pumping stays in the language. Learned string-content
+    /// rules loop immediately in practice; `tests/artifacts.rs` pins the
+    /// resulting agreement with the oracle-backed path for all five Table-1
+    /// languages.
+    #[inline]
+    fn repeatable(&self, state: u32, occ: impl Iterator<Item = char> + Clone) -> bool {
+        let Some(q1) = self.run_plains(state, occ.clone()) else {
+            return false;
+        };
+        self.run_plains(q1, occ) == Some(q1)
+    }
 }
 
 /// Upper bound on interned item-set states (and so on dense-table size):
 /// compilation fails with [`CompileError::AutomatonTooLarge`] beyond it.
 const MAX_STATES: usize = 16_384;
+
+// A walk-table cell packs a state into 14 bits.
+const _: () = assert!(MAX_STATES <= 1 << 14);
 
 /// Builds the automaton by saturating the reachable `(state, stack top)`
 /// configurations (the classic pre*-style closure for pushdown systems):
@@ -739,15 +799,68 @@ impl ProductMatcher {
     }
 }
 
+/// Walk-table cell tag of a one-character call token taken in place:
+/// `CELL_CALL | state << 16 | stack symbol`. A cell below it is the next
+/// state of a plain step.
+const CELL_CALL: u32 = 1 << 30;
+/// Walk-table cell tag of a one-character return token taken in place:
+/// `CELL_RETURN | state before the return marker << 16 | return id`.
+const CELL_RETURN: u32 = 2 << 30;
+/// Walk-table cell tag of a one-character token whose skip and take may both
+/// survive: `CELL_FORK | index` into [`TokenScan::forks`]. [`DEAD`] and
+/// [`STOP`] carry this tag too; no index reaches them.
+const CELL_FORK: u32 = 3 << 30;
+/// Walk-table cell the table alone cannot decide (see [`TokenScan::cells`]).
+const STOP: u32 = u32::MAX - 1;
+
+/// The state and the stack symbol or return id packed in a call or return
+/// cell of the walk table.
+#[inline]
+fn unpack(cell: u32) -> (u32, u32) {
+    ((cell >> 16) & 0x3FFF, cell & 0xFFFF)
+}
+
 /// The tokenizer compiled for the scan (derived from the artifact's
 /// tokenizer and automaton when it is assembled; never persisted): the
-/// product matcher and the classified codes of each pair's call and return
-/// markers.
+/// product matcher, the classified codes of each pair's call and return
+/// markers, and the walk table.
 #[derive(Clone, Debug)]
 struct TokenScan {
     matcher: ProductMatcher,
     /// `(call code, return code)` per pair.
     codes: Vec<(u32, u32)>,
+    /// ASCII character → column of `cells`. Every character the grammar or
+    /// a matcher reads has a column of its own; column 0 holds the rest,
+    /// which are dead in every state.
+    column: [u8; 128],
+    columns: usize,
+    /// `[state * columns + column]` → what a configuration does on that
+    /// character: the next state of a plain step (also when a token starts
+    /// there but only the k-Repetition skip survives); a one-character call
+    /// token taken ([`CELL_CALL`]) or return token taken ([`CELL_RETURN`]);
+    /// both readings of a one-character token ([`CELL_FORK`]); [`DEAD`]; or
+    /// [`STOP`] where the table cannot decide: a longer token may start, or
+    /// a packed field does not fit. Non-ASCII characters are [`STOP`] too. At
+    /// most 129 columns, so at [`MAX_STATES`] the table holds at most
+    /// 2 113 536 cells (8.1 MiB); learned grammars use about one column per
+    /// plain character, the size of the plain table.
+    cells: Vec<u32>,
+    /// `(skip state, take cell)` of each fork cell: the skip's next state,
+    /// and the take as a call or return cell. At most one per state and
+    /// column whose character is a one-character token.
+    forks: Vec<(u32, u32)>,
+    /// The one-character token each column's character is, if any.
+    single: Vec<Option<Candidate>>,
+}
+
+/// How a token occurrence read as a token moves the automaton.
+enum Take {
+    /// The call marker and then the occurrence: the body state after it and
+    /// the stack symbol pushed.
+    Call { state: u32, sym: u32 },
+    /// The occurrence and then the return marker: the state before the
+    /// marker and the return id, to be completed against the stack top.
+    Return { before: u32, ret: u32 },
 }
 
 impl TokenScan {
@@ -755,7 +868,143 @@ impl TokenScan {
         let codes = (0..tokenizer.pairs().len())
             .map(|i| (auto.classify(call_marker(i)), auto.classify(return_marker(i))))
             .collect();
-        Ok(TokenScan { matcher: ProductMatcher::new(tokenizer)?, codes })
+        let matcher = ProductMatcher::new(tokenizer)?;
+        let mut column = [0u8; 128];
+        let mut reps = vec![None];
+        for c in (0..128u8).map(char::from) {
+            if auto.classify(c) != SYM_UNKNOWN || matcher.class[c as usize] != 0 {
+                column[c as usize] = reps.len() as u8;
+                reps.push(Some(c));
+            }
+        }
+        let single = reps
+            .iter()
+            .map(|rep| {
+                let m = matcher.step(0, (*rep)?);
+                let (pair, kind) = *matcher.label.get(m as usize)?.as_ref()?;
+                Some(Candidate { pair, kind, len: 1 })
+            })
+            .collect();
+        let mut scan = TokenScan {
+            matcher,
+            codes,
+            column,
+            columns: reps.len(),
+            cells: Vec::new(),
+            forks: Vec::new(),
+            single,
+        };
+        let states = auto.accepting.len() as u32;
+        let mut cells = Vec::with_capacity(states as usize * reps.len());
+        let mut forks = Vec::new();
+        for state in 0..states {
+            for (col, rep) in reps.iter().enumerate() {
+                cells.push(
+                    rep.map_or(DEAD, |c| scan.decide(auto, state, c, scan.single[col], &mut forks)),
+                );
+            }
+        }
+        (scan.cells, scan.forks) = (cells, forks);
+        Ok(scan)
+    }
+
+    /// The walk-table cell of `(state, c)`; `single` is the one-character
+    /// token `c` is, if any. A fork cell's readings go to `forks`.
+    fn decide(
+        &self,
+        auto: &Automaton,
+        state: u32,
+        c: char,
+        single: Option<Candidate>,
+        forks: &mut Vec<(u32, u32)>,
+    ) -> u32 {
+        if self.matcher.step(0, c) == DEAD {
+            return auto.plain_char(state, c);
+        }
+        let Some(cand) = single else {
+            return STOP;
+        };
+        let occ = std::iter::once(c);
+        let take = self.take(auto, state, cand, occ.clone()).map(|take| match take {
+            Take::Call { state, sym } if sym < 1 << 16 => Some(CELL_CALL | state << 16 | sym),
+            Take::Return { before, ret } if ret < 1 << 16 => Some(CELL_RETURN | before << 16 | ret),
+            _ => None,
+        });
+        match (self.skip(auto, state, c, Some(cand), occ), take) {
+            (_, Some(None)) => STOP,
+            (Some(skip), Some(Some(take))) => {
+                forks.push((skip, take));
+                CELL_FORK | (forks.len() - 1) as u32
+            }
+            (Some(skip), None) => skip,
+            (None, Some(Some(take))) => take,
+            (None, None) => DEAD,
+        }
+    }
+
+    /// The walk-table cell of a configuration in `state` reading `c`.
+    #[inline]
+    fn cell(&self, state: u32, c: char) -> u32 {
+        let v = c as u32;
+        if v < 128 {
+            self.cells[state as usize * self.columns + self.column[v as usize] as usize]
+        } else {
+            STOP
+        }
+    }
+
+    /// The skip reading of the character `c` at a position where `cand`
+    /// (with occurrence `occ`) is the candidate token: `c` is plain text,
+    /// always available where no token starts and gated by the materialized
+    /// k-Repetition predicate ([`Automaton::repeatable`]) where one does.
+    /// Returns the state after `c`.
+    #[inline(always)]
+    fn skip(
+        &self,
+        auto: &Automaton,
+        state: u32,
+        c: char,
+        cand: Option<Candidate>,
+        occ: impl Iterator<Item = char> + Clone,
+    ) -> Option<u32> {
+        if cand.is_some() && !auto.repeatable(state, occ) {
+            return None;
+        }
+        let next = auto.plain_char(state, c);
+        (next != DEAD).then_some(next)
+    }
+
+    /// The take reading of the candidate token `cand` with occurrence
+    /// `occ`: its marker and characters run through the automaton (the
+    /// occurrence's characters are the token's plain text, after the call
+    /// marker or before the return marker), and the reading dies if they
+    /// cannot. A return still has to match the stack top.
+    #[inline(always)]
+    fn take(
+        &self,
+        auto: &Automaton,
+        state: u32,
+        cand: Candidate,
+        occ: impl Iterator<Item = char>,
+    ) -> Option<Take> {
+        let (call_code, ret_code) = self.codes[cand.pair as usize];
+        match cand.kind {
+            TokenKind::Call => {
+                if call_code >> 30 != KIND_CALL {
+                    return None;
+                }
+                let (body, sym) = auto.call_step(state, call_code & 0x3FFF_FFFF);
+                if body == DEAD {
+                    return None;
+                }
+                Some(Take::Call { state: auto.run_plains(body, occ)?, sym })
+            }
+            TokenKind::Return => {
+                let before = auto.run_plains(state, occ)?;
+                (ret_code >> 30 == KIND_RETURN)
+                    .then_some(Take::Return { before, ret: ret_code & 0x3FFF_FFFF })
+            }
+        }
     }
 }
 
@@ -767,6 +1016,100 @@ struct Candidate {
     pair: u32,
     kind: TokenKind,
     len: u32,
+}
+
+/// The raw input as the scan reads it: its bytes before the frontier is set
+/// up (readable up to the first non-ASCII byte, where byte and character
+/// indices still agree), its characters after.
+trait Text {
+    /// Length in characters (bytes for the byte view).
+    fn end(&self) -> usize;
+    /// The character at `pos`, or `None` where this view cannot decode it.
+    fn char_at(&self, pos: usize) -> Option<char>;
+    /// The `len` characters from `pos`, all decodable.
+    fn occ(&self, pos: usize, len: usize) -> impl Iterator<Item = char> + Clone;
+}
+
+impl Text for [u8] {
+    fn end(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn char_at(&self, pos: usize) -> Option<char> {
+        let b = self[pos];
+        b.is_ascii().then_some(char::from(b))
+    }
+
+    #[inline]
+    fn occ(&self, pos: usize, len: usize) -> impl Iterator<Item = char> + Clone {
+        self[pos..pos + len].iter().map(|&b| char::from(b))
+    }
+}
+
+impl Text for [char] {
+    fn end(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn char_at(&self, pos: usize) -> Option<char> {
+        Some(self[pos])
+    }
+
+    #[inline]
+    fn occ(&self, pos: usize, len: usize) -> impl Iterator<Item = char> + Clone {
+        self[pos..pos + len].iter().copied()
+    }
+}
+
+/// How one reading moves the stack.
+#[derive(Copy, Clone, Debug)]
+enum StackOp {
+    Keep,
+    Push(u32),
+    Pop,
+}
+
+/// One step of a configuration: the state and position after it, how the
+/// stack moves, and the token taken (recorded in the trace).
+#[derive(Copy, Clone, Debug)]
+struct Step {
+    state: u32,
+    len: u32,
+    op: StackOp,
+    took: Option<Candidate>,
+}
+
+/// The lone configuration the walk steps in place, with the scan's budget.
+struct Walk {
+    pos: usize,
+    state: u32,
+    /// Hash-consed stack node under the symbols the walk pushed itself
+    /// (0 = empty).
+    base: u32,
+    trace: u32,
+    budget: usize,
+    exhausted: bool,
+}
+
+impl Walk {
+    /// The scan's outcome when the walk ended where it stands, accepting or
+    /// not; `at_end` says whether that is the end of the input.
+    fn outcome(
+        &self,
+        accepted: bool,
+        at_end: bool,
+        traces: &[(u32, u32, Candidate)],
+    ) -> ScanOutcome {
+        ScanOutcome {
+            takes: accepted.then(|| unwind_trace(traces, self.trace)),
+            furthest: self.pos,
+            reached_end: at_end,
+            exhausted: self.exhausted,
+            handoffs: 0,
+        }
+    }
 }
 
 /// "No configuration" link in the frontier's bucket lists.
@@ -785,10 +1128,13 @@ struct Config {
 }
 
 /// The scan's working memory, kept per thread and reused by every call: the
-/// input's characters, the hash-consed stack nodes, the frontier and the
-/// visited set, and the take-decision traces.
+/// walk's stack, the input's characters, the hash-consed stack nodes, the
+/// frontier and the visited set, and the take-decision traces.
+/// [`CompiledGrammar::recognize_word`] borrows the stack too.
 #[derive(Default)]
 struct ScanScratch {
+    /// Stack symbols the walk pushed above its base node.
+    stack: Vec<u32>,
     chars: Vec<char>,
     /// Stack nodes `(below, symbol)`; node id `i + 1` is `nodes[i]`.
     nodes: Vec<(u32, u32)>,
@@ -900,52 +1246,14 @@ impl Frontier {
         self.last = self.last.max(pos);
     }
 
-    /// Steps the lone configuration queued at `pos` through plain
-    /// characters in place, as [`CompiledGrammar::recognize_word`] does: no
-    /// other configuration is queued at or beyond `pos` and no candidate
-    /// starts there. The run charges the budget one configuration per
-    /// character, as if the configuration were queued at every position it
-    /// passes, and stops at the next position where a candidate starts (returned
-    /// with it), at the end of the input, or when the run dies (`None`, the
-    /// configuration dropped, `exhausted` set where the budget refused the
-    /// step). `furthest` tracks every position the configuration reaches.
-    fn plain_run(
-        &mut self,
-        g: &CompiledGrammar,
-        chars: &[char],
-        mut pos: usize,
-        furthest: &mut usize,
-    ) -> Option<(usize, Option<Candidate>)> {
-        let at = self.buckets[pos].first;
-        let mut state = self.configs[at as usize].state;
-        let stepped = loop {
-            let code = g.auto.classify(chars[pos]);
-            if code >> 30 != KIND_PLAIN {
-                break None;
-            }
-            state = g.auto.plain_step(state, code & 0x3FFF_FFFF);
-            if state == DEAD {
-                break None;
-            }
-            if self.budget == 0 {
-                self.exhausted = true;
-                break None;
-            }
-            self.budget -= 1;
-            pos += 1;
-            *furthest = pos;
-            if pos == chars.len() {
-                break Some((pos, None));
-            }
-            if let Some(cand) = g.first_match_at(chars, pos) {
-                break Some((pos, Some(cand)));
-            }
-        };
-        let (to, _) = stepped?;
-        self.configs[at as usize].state = state;
-        self.buckets[to] = Bucket { first: at, last: at, len: 1 };
-        self.last = to;
-        stepped
+    /// Queues the walk's configuration at `pos` without charging the budget
+    /// (the walk charged its step there): nothing is queued at or beyond
+    /// `pos`.
+    fn place(&mut self, pos: usize, state: u32, stack: u32, trace: u32) {
+        let ix = self.configs.len() as u32;
+        self.configs.push(Config { state, stack, trace, next: NIL });
+        self.buckets[pos] = Bucket { first: ix, last: ix, len: 1 };
+        self.last = pos;
     }
 }
 
@@ -954,9 +1262,9 @@ thread_local! {
     static SCAN_SCRATCH: RefCell<ScanScratch> = RefCell::default();
 }
 
-/// Inputs longer than this many characters do not leave their buffers in
-/// the thread's scan scratch, so one huge input does not pin its memory in a
-/// long-lived serving thread.
+/// Inputs longer than this many bytes do not leave their buffers in the
+/// thread's scan scratch (nor stacks deeper than this many symbols), so one
+/// huge input does not pin its memory in a long-lived serving thread.
 const SCRATCH_KEEP_CHARS: usize = 1 << 16;
 
 /// Scans that queued more configurations than this do not leave their
@@ -1146,6 +1454,8 @@ struct ScanOutcome {
     /// Whether [`MAX_SCAN_CONFIGS`] refused a configuration the scan had not
     /// seen: without an accepting branch, the reject may then be a false one.
     exhausted: bool,
+    /// How often the walk handed its configuration to the frontier.
+    handoffs: u32,
 }
 
 impl CompiledGrammar {
@@ -1251,14 +1561,18 @@ impl CompiledGrammar {
     /// [`crate::VpgParser::recognize`].
     #[must_use]
     pub fn recognize_word(&self, word: &str) -> bool {
-        let mut state = self.auto.start;
-        let mut stack: Vec<u32> = Vec::new();
-        for ch in word.chars() {
-            if !self.auto.step(&mut state, &mut stack, ch) {
-                return false;
+        SCAN_SCRATCH.with(|cell| {
+            let stack = &mut cell.borrow_mut().stack;
+            stack.clear();
+            let mut state = self.auto.start;
+            let accepted = word.chars().all(|ch| self.auto.step(&mut state, stack, ch))
+                && stack.is_empty()
+                && self.auto.accepting[state as usize];
+            if stack.capacity() > SCRATCH_KEEP_CHARS {
+                *stack = Vec::new();
             }
-        }
-        stack.is_empty() && self.auto.accepting[state as usize]
+            accepted
+        })
     }
 
     /// Parses a word over the grammar's own alphabet into a derivation (the
@@ -1325,12 +1639,14 @@ impl CompiledGrammar {
                     };
                     return Err(err.with_raw_char_context(s, outcome.furthest));
                 };
-                let chars: Vec<char> = s.chars().collect();
-                let (converted, raw_index) = build_converted(&chars, &takes);
+                let mut raw_index = Vec::new();
+                let converted = build_converted(s, &takes, Some(&mut raw_index));
                 let tagged: Vec<TaggedChar> = self.vpg.tagging().tag(&converted);
                 self.tables.parse_tagged(&tagged).map_err(|e| {
-                    let raw_char =
-                        e.position().and_then(|p| raw_index.get(p).copied()).unwrap_or(chars.len());
+                    let raw_char = e
+                        .position()
+                        .and_then(|p| raw_index.get(p).copied())
+                        .unwrap_or_else(|| s.chars().count());
                     e.with_raw_char_context(s, raw_char)
                 })
             }
@@ -1346,67 +1662,221 @@ impl CompiledGrammar {
             TokenDiscovery::Characters => self.recognize_word(s).then(|| s.to_string()),
             TokenDiscovery::Tokens => {
                 let takes = self.scan_tokens(s, true).takes?;
-                let chars: Vec<char> = s.chars().collect();
-                Some(build_converted(&chars, &takes).0)
+                Some(build_converted(s, &takes, None))
             }
         }
     }
 
-    /// First/shortest candidate token match at `chars[pos..]`, mirroring the
+    /// First/shortest candidate token match at `text[pos..]`, mirroring the
     /// learning-time scanner's match rule (shortest match, earlier pair and
     /// then call before return winning ties): one run of the product matcher
-    /// to its first labelled state.
+    /// to its first labelled state. `None` when the run needs a character
+    /// the text cannot decode.
     #[inline]
-    fn first_match_at(&self, chars: &[char], pos: usize) -> Option<Candidate> {
+    fn first_match<T: Text + ?Sized>(&self, text: &T, pos: usize) -> Option<Option<Candidate>> {
         let matcher = &self.scan.matcher;
         let mut state = 0u32;
-        for (len, &c) in (1u32..).zip(&chars[pos..]) {
-            state = matcher.step(state, c);
+        for (len, at) in (1u32..).zip(pos..text.end()) {
+            state = matcher.step(state, text.char_at(at)?);
             if state == DEAD {
-                return None;
+                return Some(None);
             }
             if let Some((pair, kind)) = matcher.label[state as usize] {
-                return Some(Candidate { pair, kind, len });
+                return Some(Some(Candidate { pair, kind, len }));
             }
         }
-        None
+        Some(None)
     }
 
-    /// The state after reading `occ` as plain text from `state`, or `None`
-    /// when the run dies.
-    #[inline]
-    fn run_plains(&self, mut state: u32, occ: &[char]) -> Option<u32> {
-        for &c in occ {
-            let code = self.auto.classify(c);
-            if code >> 30 != KIND_PLAIN {
-                return None;
-            }
-            state = self.auto.plain_step(state, code & 0x3FFF_FFFF);
-            if state == DEAD {
-                return None;
-            }
+    /// The skip and take readings of the configuration in `state` at `pos`,
+    /// where `text` reads `c`, `cand` is the candidate token and `top` the
+    /// stack top: which of them survive.
+    #[inline(always)]
+    fn readings<T: Text + ?Sized>(
+        &self,
+        text: &T,
+        pos: usize,
+        c: char,
+        state: u32,
+        cand: Option<Candidate>,
+        top: Option<u32>,
+    ) -> Next {
+        let occ = |len: u32| text.occ(pos, len as usize);
+        let skip = self.scan.skip(&self.auto, state, c, cand, occ(cand.map_or(0, |cd| cd.len)));
+        let take = cand.and_then(|cd| {
+            let (state, op) = match self.scan.take(&self.auto, state, cd, occ(cd.len))? {
+                Take::Call { state, sym } => (state, StackOp::Push(sym)),
+                Take::Return { before, ret } => {
+                    let after = self.auto.ret_step(before, top?, ret);
+                    (after != DEAD).then_some((after, StackOp::Pop))?
+                }
+            };
+            Some(Step { state, len: cd.len, op, took: Some(cd) })
+        });
+        Next::of(skip, take)
+    }
+
+    /// What the configuration in `state` at `pos`, where `text` reads `c`,
+    /// does next: one walk-table cell (see [`TokenScan::cells`]) and, where
+    /// the table answers [`STOP`], the candidate token (matched once per
+    /// position into `cand`) with both readings tried. `top` gives the stack
+    /// top. `None` when matching needs a character `text` cannot decode.
+    #[inline(always)]
+    fn next<T: Text + ?Sized>(
+        &self,
+        text: &T,
+        pos: usize,
+        c: char,
+        state: u32,
+        top: impl FnOnce() -> Option<u32>,
+        cand: &mut Option<Option<Candidate>>,
+    ) -> Option<Next> {
+        let scan = &self.scan;
+        let cell = scan.cell(state, c);
+        if cell < CELL_CALL {
+            return Some(Next::One(Step { state: cell, len: 1, op: StackOp::Keep, took: None }));
         }
-        Some(state)
-    }
-
-    /// The compiled k-Repetition predicate: the occurrence read from `state`
-    /// is repeatable-in-place exactly when the automaton loops on it
-    /// (`state ──occ──▶ q₁ ──occ──▶ q₁`), in which case `occᵏ` keeps the word
-    /// derivable for every `k` — the word-level analog of Algorithm 5's
-    /// membership check, answered by the tables alone.
-    ///
-    /// This is deliberately *narrower* than the oracle check it replaces: a
-    /// grammar whose plain reading of `occ` loops only after a pre-period
-    /// (`q₁ ──occ──▶ q₂ ──occ──▶ q₂` with `q₁ ≠ q₂`) would be denied the skip
-    /// even though pumping stays in the language. Learned string-content
-    /// rules loop immediately in practice; `tests/artifacts.rs` pins the
-    /// resulting agreement with the oracle-backed path for all five Table-1
-    /// languages.
-    fn repeatable(&self, state: u32, occ: &[char]) -> bool {
-        let Some(q1) = self.run_plains(state, occ) else {
-            return false;
+        if cell == DEAD {
+            return Some(Next::Dead);
+        }
+        if cell == STOP {
+            let cand = match *cand {
+                Some(known) => known,
+                None => *cand.insert(self.first_match(text, pos)?),
+            };
+            return Some(self.readings(text, pos, c, state, cand, top()));
+        }
+        // A one-character token: taken, or forked with its skip.
+        let (skip, take) = if cell >> 30 == CELL_FORK >> 30 {
+            let (skip, take) = scan.forks[(cell & !CELL_FORK) as usize];
+            (Some(skip), take)
+        } else {
+            (None, cell)
         };
-        self.run_plains(q1, occ) == Some(q1)
+        let took = scan.single[scan.column[c as usize] as usize];
+        let (state, op) = if take >> 30 == CELL_CALL >> 30 {
+            let (body, sym) = unpack(take);
+            (body, StackOp::Push(sym))
+        } else {
+            let (before, ret) = unpack(take);
+            (top().map_or(DEAD, |top| self.auto.ret_step(before, top, ret)), StackOp::Pop)
+        };
+        let take = (state != DEAD).then_some(Step { state, len: 1, op, took });
+        Some(Next::of(skip, take))
+    }
+
+    /// Steps the lone configuration `w` in place: the walk-table cells that
+    /// decide a step in a tight loop, every other position with
+    /// [`CompiledGrammar::walk_step`]. Each step charges one unit of the
+    /// budget, as queueing its configuration would. When the walk reaches
+    /// the end of the input or dies it returns whether it accepted (see
+    /// [`Walk::outcome`]). Where two readings survive, or `text` cannot
+    /// decode a character, it stops with the configuration at `w.pos` (the
+    /// symbols it pushed still in `stack` above `w.base`) and says why: the
+    /// frontier takes over there.
+    #[inline]
+    fn walk<T: Text + ?Sized>(
+        &self,
+        text: &T,
+        w: &mut Walk,
+        stack: &mut Vec<u32>,
+        nodes: &[(u32, u32)],
+        traces: &mut Vec<(u32, u32, Candidate)>,
+        want_trace: bool,
+    ) -> Result<bool, Handoff> {
+        loop {
+            // One-character steps the table decides, in locals: plain text,
+            // and tokens unless their traces are wanted. Each moves one
+            // position, so the budget caps how far they may go.
+            let (mut state, mut pos) = (w.state, w.pos);
+            let stop = text.end().min(w.pos.saturating_add(w.budget));
+            while pos < stop {
+                let Some(c) = text.char_at(pos) else {
+                    break;
+                };
+                let cell = self.scan.cell(state, c);
+                let (packed, field) = unpack(cell);
+                if cell < CELL_CALL {
+                    state = cell;
+                } else if want_trace {
+                    break;
+                } else if cell >> 30 == CELL_CALL >> 30 {
+                    stack.push(field);
+                    state = packed;
+                } else if cell >> 30 == CELL_RETURN >> 30 {
+                    let Some(&top) = stack.last() else {
+                        break;
+                    };
+                    let after = self.auto.ret_step(packed, top, field);
+                    if after == DEAD {
+                        break;
+                    }
+                    stack.pop();
+                    state = after;
+                } else {
+                    break;
+                }
+                pos += 1;
+            }
+            (w.state, w.budget, w.pos) = (state, w.budget - (pos - w.pos), pos);
+            if let ControlFlow::Break(end) =
+                self.walk_step(text, w, stack, nodes, traces, want_trace)
+            {
+                return end;
+            }
+        }
+    }
+
+    /// One step of [`CompiledGrammar::walk`] with
+    /// [`CompiledGrammar::next`], or the walk's end. Kept out of line, so
+    /// the walk's tight loop holds only what it reads.
+    #[inline(never)]
+    fn walk_step<T: Text + ?Sized>(
+        &self,
+        text: &T,
+        w: &mut Walk,
+        stack: &mut Vec<u32>,
+        nodes: &[(u32, u32)],
+        traces: &mut Vec<(u32, u32, Candidate)>,
+        want_trace: bool,
+    ) -> ControlFlow<Result<bool, Handoff>> {
+        if w.pos == text.end() {
+            let accepted = stack.is_empty() && w.base == 0 && self.auto.accepting[w.state as usize];
+            return ControlFlow::Break(Ok(accepted));
+        }
+        let Some(c) = text.char_at(w.pos) else {
+            return ControlFlow::Break(Err(Handoff::Unreadable));
+        };
+        let top = || match stack.last() {
+            Some(&sym) => Some(sym),
+            None => (w.base != 0).then(|| nodes[w.base as usize - 1].1),
+        };
+        let step = match self.next(text, w.pos, c, w.state, top, &mut None) {
+            Some(Next::One(step)) => step,
+            Some(Next::Dead) => return ControlFlow::Break(Ok(false)),
+            Some(Next::Two(skip, take)) => {
+                return ControlFlow::Break(Err(Handoff::Fork(skip, take)))
+            }
+            None => return ControlFlow::Break(Err(Handoff::Unreadable)),
+        };
+        if w.budget == 0 {
+            w.exhausted = true;
+            return ControlFlow::Break(Ok(false));
+        }
+        w.budget -= 1;
+        match step.op {
+            StackOp::Keep => {}
+            StackOp::Push(sym) => stack.push(sym),
+            StackOp::Pop => {
+                if stack.pop().is_none() {
+                    w.base = nodes[w.base as usize - 1].0;
+                }
+            }
+        }
+        w.trace = record_take(traces, want_trace, w.trace, w.pos, step.took);
+        w.state = step.state;
+        w.pos += step.len as usize;
+        ControlFlow::Continue(())
     }
 
     /// The compiled conversion scan: Algorithm 5's left-to-right scan with
@@ -1417,8 +1887,8 @@ impl CompiledGrammar {
     ///   characters run through the automaton and the branch dies if they
     ///   cannot (a token the grammar has no use for here is no token), and
     /// * a **skip** branch — the occurrence is plain text — but *only* when
-    ///   the occurrence is loop-repeatable ([`CompiledGrammar::repeatable`],
-    ///   the materialized k-Repetition predicate; e.g. a `{` inside a learned
+    ///   the occurrence is loop-repeatable ([`Automaton::repeatable`], the
+    ///   materialized k-Repetition predicate; e.g. a `{` inside a learned
     ///   string literal). Ungated skips would wander into word-space the
     ///   learner never constrained.
     ///
@@ -1428,153 +1898,304 @@ impl CompiledGrammar {
     /// accepting configuration. The oracle-backed conversion corresponds to
     /// one decision sequence per position, so whenever its decisions are
     /// take-executable/loop-repeatable here, that run is among the explored
-    /// branches.
+    /// branches. Every configuration's step comes from the walk table where
+    /// the table can decide it ([`CompiledGrammar::next`]).
     ///
     /// Configurations are processed by ascending position and, within a
     /// position, in the order they were queued; every branch moves forward,
     /// so a position's bucket is complete when the scan reaches it. The
     /// [`MAX_SCAN_CONFIGS`] budget therefore admits the same configurations
-    /// on every run. A lone configuration with nothing queued ahead of it
-    /// and no candidate at its position is stepped in place to the next
-    /// candidate ([`Frontier::plain_run`]): the one-position-at-a-time scan
-    /// would queue exactly those configurations, one per character, and no
-    /// later push can land on a position behind it. All working memory
-    /// comes from the calling thread's [`ScanScratch`]; `want_trace` records
-    /// the take decisions that [`CompiledGrammar::parse`] and
+    /// on every run. While one configuration is alone — nothing else queued
+    /// at or ahead of its position — it is stepped in place by
+    /// [`CompiledGrammar::walk`], first over the input's bytes before any
+    /// scratch set-up: the one-position-at-a-time scan would queue exactly
+    /// the configurations it steps through, one per step, and no later push
+    /// can land behind it. Only where two readings survive, or at a
+    /// non-ASCII character before the set-up, does the walk hand its
+    /// configuration (its stack interned into hash-consed nodes, its traces
+    /// kept) to the frontier, which resumes at that position and gives it
+    /// back once one configuration is left. All working memory comes from
+    /// the calling thread's [`ScanScratch`]; `want_trace` records the take
+    /// decisions that [`CompiledGrammar::parse`] and
     /// [`CompiledGrammar::converted_word`] need.
     fn scan_tokens(&self, s: &str, want_trace: bool) -> ScanOutcome {
-        let outcome = SCAN_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let outcome = self.scan_in(&mut scratch, s, want_trace);
-            if scratch.chars.len() > SCRATCH_KEEP_CHARS
-                || scratch.frontier.configs.len() > SCRATCH_KEEP_CONFIGS
-            {
-                *scratch = ScanScratch::default();
-            }
-            outcome
-        });
-        if outcome.exhausted && outcome.takes.is_none() && vstar_telemetry::enabled() {
-            vstar_telemetry::counter("serve.scan_exhausted", 1);
+        let outcome = SCAN_SCRATCH.with(|cell| self.scan_in(&mut cell.borrow_mut(), s, want_trace));
+        // Only the frontier or a huge input grows the scratch, and only they
+        // can exhaust the budget.
+        if outcome.handoffs > 0 || s.len() > SCRATCH_KEEP_CHARS {
+            settle_scan(&outcome, s);
         }
         outcome
     }
 
     /// [`CompiledGrammar::scan_tokens`] over explicit scratch buffers.
     fn scan_in(&self, scratch: &mut ScanScratch, s: &str, want_trace: bool) -> ScanOutcome {
-        let auto = &self.auto;
-        let ScanScratch { chars, nodes, node_ix, traces, frontier } = scratch;
-        chars.clear();
-        chars.extend(s.chars());
-        nodes.clear();
-        // Clearing wipes every control byte even of an empty table.
-        if !node_ix.is_empty() {
-            node_ix.clear();
+        scratch.stack.clear();
+        scratch.traces.clear();
+        let mut w = Walk {
+            pos: 0,
+            state: self.auto.start,
+            base: 0,
+            trace: 0,
+            budget: MAX_SCAN_CONFIGS - 1,
+            exhausted: false,
+        };
+        let ScanScratch { stack, traces, .. } = scratch;
+        let bytes = s.as_bytes();
+        match self.walk(bytes, &mut w, stack, &[], traces, want_trace) {
+            Ok(accepted) => w.outcome(accepted, w.pos == bytes.len(), traces),
+            Err(handoff) => self.scan_frontier(scratch, s, &w, handoff, want_trace),
         }
-        traces.clear();
-        let n = chars.len();
-        frontier.reset(n + 1);
-        frontier.push(0, auto.start, 0, 0);
+    }
 
-        let mut furthest = 0usize;
+    /// The rest of [`CompiledGrammar::scan_in`] after the walk over the
+    /// bytes handed `w` over: the frontier, which gives lone configurations
+    /// back to the walk.
+    #[inline(never)]
+    fn scan_frontier(
+        &self,
+        scratch: &mut ScanScratch,
+        s: &str,
+        w: &Walk,
+        handoff: Handoff,
+        want_trace: bool,
+    ) -> ScanOutcome {
+        // The walk stopped after an ASCII prefix, so its byte position is a
+        // character index.
+        scratch.set_up(s);
+        let n = scratch.chars.len();
+        let mut handoffs = 1u32;
+        let mut furthest = w.pos;
         let mut reached_end = false;
-        let mut pos = 0usize;
-        while pos <= frontier.last {
-            let bucket = frontier.buckets[pos];
+        let mut pos = scratch.hand_over(w, handoff, want_trace);
+        while pos <= scratch.frontier.last {
+            let bucket = scratch.frontier.buckets[pos];
             if bucket.first == NIL {
                 pos += 1;
                 continue;
             }
             furthest = pos;
-            // Candidate matches depend only on the input: one per position.
-            let mut cand = if pos < n { self.first_match_at(chars, pos) } else { None };
-            if cand.is_none() && pos < n && bucket.len == 1 && frontier.last == pos {
-                // One configuration over plain text: step it in place.
-                let Some((to, at_to)) = frontier.plain_run(self, chars, pos, &mut furthest) else {
-                    break;
-                };
-                (pos, cand) = (to, at_to);
-            }
-            let mut at = frontier.buckets[pos].first;
-            while at != NIL {
-                let Config { state, stack, trace, next } = frontier.configs[at as usize];
-                at = next;
-                if pos == n {
-                    if stack == 0 && auto.accepting[state as usize] {
-                        return ScanOutcome {
-                            takes: Some(unwind_trace(traces, trace)),
-                            furthest: pos,
-                            reached_end: true,
-                            exhausted: frontier.exhausted,
-                        };
-                    }
-                    reached_end = true;
-                    continue;
+            if pos == n {
+                if let Some(trace) = self.accepting_trace(scratch, bucket.first) {
+                    let takes = Some(unwind_trace(&scratch.traces, trace));
+                    let exhausted = scratch.frontier.exhausted;
+                    return ScanOutcome { takes, furthest, reached_end: true, exhausted, handoffs };
                 }
-
-                // Plain/skip branch: the character at `pos` is plain text —
-                // always available where nothing matches, gated by the
-                // materialized k-Repetition predicate where something does.
-                let skip_allowed = match cand {
-                    None => true,
-                    Some(c) => self.repeatable(state, &chars[pos..pos + c.len as usize]),
-                };
-                if skip_allowed {
-                    let code = auto.classify(chars[pos]);
-                    if code >> 30 == KIND_PLAIN {
-                        let s2 = auto.plain_step(state, code & 0x3FFF_FFFF);
-                        if s2 != DEAD {
-                            frontier.push(pos + 1, s2, stack, trace);
-                        }
+                reached_end = true;
+            } else if bucket.len == 1 && scratch.frontier.last == pos {
+                // One configuration is left: the walk takes it back.
+                let Config { state, stack: base, trace, .. } =
+                    scratch.frontier.configs[bucket.first as usize];
+                let (budget, exhausted) = (scratch.frontier.budget, scratch.frontier.exhausted);
+                let mut w = Walk { pos, state, base, trace, budget, exhausted };
+                let ScanScratch { stack, chars, nodes, traces, .. } = scratch;
+                match self.walk(&chars[..], &mut w, stack, nodes, traces, want_trace) {
+                    Ok(accepted) => {
+                        return ScanOutcome { handoffs, ..w.outcome(accepted, w.pos == n, traces) };
+                    }
+                    Err(handoff) => {
+                        handoffs += 1;
+                        furthest = w.pos;
+                        pos = scratch.hand_over(&w, handoff, want_trace);
+                        continue;
                     }
                 }
-
-                // Take branch: the candidate occurrence is a real token.
-                let Some(cand) = cand else {
-                    continue;
-                };
-                let (call_code, ret_code) = self.scan.codes[cand.pair as usize];
-                let occ = &chars[pos..pos + cand.len as usize];
-                // The occurrence's characters are the token's plain text:
-                // after the call marker, or before the return marker.
-                let next = match cand.kind {
-                    TokenKind::Call => {
-                        let (body, sym) = if call_code >> 30 == KIND_CALL {
-                            auto.call_step(state, call_code & 0x3FFF_FFFF)
-                        } else {
-                            (DEAD, 0)
-                        };
-                        if body == DEAD {
-                            None
-                        } else {
-                            let pushed = *node_ix.entry((stack, sym)).or_insert_with(|| {
-                                nodes.push((stack, sym));
-                                nodes.len() as u32
-                            });
-                            self.run_plains(body, occ).map(|q| (q, pushed))
-                        }
-                    }
-                    TokenKind::Return => match self.run_plains(state, occ) {
-                        Some(q) if ret_code >> 30 == KIND_RETURN && stack != 0 => {
-                            let (below, sym) = nodes[stack as usize - 1];
-                            let after = auto.ret_step(q, sym, ret_code & 0x3FFF_FFFF);
-                            (after != DEAD).then_some((after, below))
-                        }
-                        _ => None,
-                    },
-                };
-                if let Some((s2, stack2)) = next {
-                    let trace2 = if want_trace {
-                        traces.push((trace, pos as u32, cand));
-                        traces.len() as u32
-                    } else {
-                        0
-                    };
-                    frontier.push(pos + cand.len as usize, s2, stack2, trace2);
-                }
+            } else {
+                self.step_bucket(scratch, pos, bucket.first, want_trace);
             }
             pos += 1;
         }
-        ScanOutcome { takes: None, furthest, reached_end, exhausted: frontier.exhausted }
+        let exhausted = scratch.frontier.exhausted;
+        ScanOutcome { takes: None, furthest, reached_end, exhausted, handoffs }
+    }
+
+    /// The trace of the first accepting configuration, in queue order, of
+    /// the bucket whose first configuration is `first` at the end of the
+    /// input.
+    fn accepting_trace(&self, scratch: &ScanScratch, first: u32) -> Option<u32> {
+        let mut at = first;
+        while at != NIL {
+            let Config { state, stack, trace, next } = scratch.frontier.configs[at as usize];
+            if stack == 0 && self.auto.accepting[state as usize] {
+                return Some(trace);
+            }
+            at = next;
+        }
+        None
+    }
+
+    /// Queues the next steps of every configuration of the bucket at `pos`
+    /// (before the end of the input) whose first configuration is `first`,
+    /// in queue order. Kept out of line: inlined into the scan loop next to
+    /// the walk, it compiles to markedly slower code.
+    #[inline(never)]
+    fn step_bucket(&self, scratch: &mut ScanScratch, pos: usize, first: u32, want_trace: bool) {
+        let c = scratch.chars[pos];
+        let mut cand = None;
+        let mut at = first;
+        while at != NIL {
+            let Config { state, stack: node, trace, next } = scratch.frontier.configs[at as usize];
+            at = next;
+            let top = || (node != 0).then(|| scratch.nodes[node as usize - 1].1);
+            let chars = &scratch.chars[..];
+            match self.next(chars, pos, c, state, top, &mut cand) {
+                Some(Next::One(step)) => scratch.push_step(pos, node, trace, step, want_trace),
+                Some(Next::Two(skip, take)) => {
+                    scratch.push_fork(pos, node, trace, skip, take, want_trace)
+                }
+                Some(Next::Dead) => {}
+                None => unreachable!("the frontier reads characters"),
+            }
+        }
+    }
+}
+
+/// What a configuration does next (see [`CompiledGrammar::next`]).
+enum Next {
+    Dead,
+    One(Step),
+    /// Both readings survive: the skip's next state and the take's step.
+    Two(u32, Step),
+}
+
+impl Next {
+    /// The next step from the readings that survive: the skip's next state
+    /// and the take's step.
+    #[inline(always)]
+    fn of(skip: Option<u32>, take: Option<Step>) -> Next {
+        match (skip, take) {
+            (Some(skip), Some(take)) => Next::Two(skip, take),
+            (Some(skip), None) => {
+                Next::One(Step { state: skip, len: 1, op: StackOp::Keep, took: None })
+            }
+            (None, Some(take)) => Next::One(take),
+            (None, None) => Next::Dead,
+        }
+    }
+}
+
+/// After a scan that used the frontier or read a huge input: drops the
+/// thread's scratch buffers if they grew too large to keep, and counts the
+/// scan's telemetry.
+#[cold]
+#[inline(never)]
+fn settle_scan(outcome: &ScanOutcome, s: &str) {
+    SCAN_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        if s.len() > SCRATCH_KEEP_CHARS || scratch.frontier.configs.len() > SCRATCH_KEEP_CONFIGS {
+            *scratch = ScanScratch::default();
+        }
+    });
+    if vstar_telemetry::enabled() {
+        if outcome.exhausted && outcome.takes.is_none() {
+            vstar_telemetry::counter("serve.scan_exhausted", 1);
+        }
+        if outcome.handoffs > 0 {
+            vstar_telemetry::counter("serve.scan_handoffs", u64::from(outcome.handoffs));
+        }
+    }
+}
+
+/// Why the walk handed its configuration to the frontier.
+enum Handoff {
+    /// The text cannot decode a character the walk needs (a non-ASCII
+    /// byte): the walk resumes there over the characters.
+    Unreadable,
+    /// Both readings survive: the skip's next state and the take's step.
+    Fork(u32, Step),
+}
+
+/// Records the take of `took` at `pos` on trace `trace` when traces are
+/// wanted; returns the trace the configuration continues with.
+#[inline]
+fn record_take(
+    traces: &mut Vec<(u32, u32, Candidate)>,
+    want_trace: bool,
+    trace: u32,
+    pos: usize,
+    took: Option<Candidate>,
+) -> u32 {
+    match (want_trace, took) {
+        (true, Some(cand)) => {
+            traces.push((trace, pos as u32, cand));
+            traces.len() as u32
+        }
+        _ => trace,
+    }
+}
+
+impl ScanScratch {
+    /// Readies the frontier's buffers for `s`.
+    fn set_up(&mut self, s: &str) {
+        self.chars.clear();
+        self.chars.extend(s.chars());
+        self.nodes.clear();
+        // Clearing wipes every control byte even of an empty table.
+        if !self.node_ix.is_empty() {
+            self.node_ix.clear();
+        }
+        self.frontier.reset(self.chars.len() + 1);
+    }
+
+    /// The hash-consed stack node of symbol `sym` pushed on node `below`.
+    fn intern(&mut self, below: u32, sym: u32) -> u32 {
+        let nodes = &mut self.nodes;
+        *self.node_ix.entry((below, sym)).or_insert_with(|| {
+            nodes.push((below, sym));
+            nodes.len() as u32
+        })
+    }
+
+    /// Queues the configuration `step` leads to from the configuration on
+    /// stack node `node` with trace `trace` at `pos`.
+    #[inline]
+    fn push_step(&mut self, pos: usize, node: u32, trace: u32, step: Step, want_trace: bool) {
+        let node = match step.op {
+            StackOp::Keep => node,
+            StackOp::Push(sym) => self.intern(node, sym),
+            StackOp::Pop => self.nodes[node as usize - 1].0,
+        };
+        let trace = record_take(&mut self.traces, want_trace, trace, pos, step.took);
+        self.frontier.push(pos + step.len as usize, step.state, node, trace);
+    }
+
+    /// Queues both readings of a fork: the skip first, then the take.
+    fn push_fork(
+        &mut self,
+        pos: usize,
+        node: u32,
+        trace: u32,
+        skip: u32,
+        take: Step,
+        want_trace: bool,
+    ) {
+        self.frontier.push(pos + 1, skip, node, trace);
+        self.push_step(pos, node, trace, take, want_trace);
+    }
+
+    /// Gives the walk's configuration to the frontier where the walk
+    /// stopped: the symbols it pushed are interned above its base node and
+    /// the budget it has left carries over. At an unreadable position the
+    /// configuration is queued there; at a fork both readings are queued.
+    /// Returns the position the frontier continues at.
+    fn hand_over(&mut self, w: &Walk, handoff: Handoff, want_trace: bool) -> usize {
+        let mut node = w.base;
+        for i in 0..self.stack.len() {
+            node = self.intern(node, self.stack[i]);
+        }
+        self.stack.clear();
+        self.frontier.budget = w.budget;
+        self.frontier.exhausted = w.exhausted;
+        match handoff {
+            Handoff::Unreadable => {
+                self.frontier.place(w.pos, w.state, node, w.trace);
+                w.pos
+            }
+            Handoff::Fork(skip, take) => {
+                self.push_fork(w.pos, node, w.trace, skip, take, want_trace);
+                w.pos + 1
+            }
+        }
     }
 }
 
@@ -1591,42 +2212,42 @@ fn unwind_trace(traces: &[(u32, u32, Candidate)], mut id: u32) -> Vec<(usize, Ca
     takes
 }
 
-/// Rebuilds the converted word from the take-decisions of an accepting
-/// branch, mirroring `conv_τ`'s marker placement: call markers before the
-/// occurrence, return markers after it. The second component maps each
-/// converted-word character back to a raw character index.
-fn build_converted(chars: &[char], takes: &[(usize, Candidate)]) -> (String, Vec<usize>) {
-    let mut out = String::new();
-    let mut raw_index = Vec::new();
-    let mut take_iter = takes.iter().peekable();
-    let mut i = 0usize;
-    while i < chars.len() {
-        match take_iter.peek() {
-            Some(&&(pos, cand)) if pos == i => {
-                take_iter.next();
-                let len = cand.len as usize;
-                if cand.kind == TokenKind::Call {
-                    out.push(call_marker(cand.pair as usize));
-                    raw_index.push(i);
-                }
-                for &c in &chars[i..i + len] {
-                    out.push(c);
-                    raw_index.push(i);
-                }
-                if cand.kind == TokenKind::Return {
-                    out.push(return_marker(cand.pair as usize));
-                    raw_index.push(i + len - 1);
-                }
-                i += len;
-            }
-            _ => {
-                out.push(chars[i]);
-                raw_index.push(i);
-                i += 1;
+/// Rebuilds the converted word of `s` from the take-decisions of an
+/// accepting branch, mirroring `conv_τ`'s marker placement: call markers
+/// before the occurrence, return markers after it. With `raw_index`, each
+/// converted-word character's raw character index is recorded there.
+fn build_converted(
+    s: &str,
+    takes: &[(usize, Candidate)],
+    mut raw_index: Option<&mut Vec<usize>>,
+) -> String {
+    let mut out = String::with_capacity(s.len() + 3 * takes.len());
+    let mut emit = |c: char, raw: usize| {
+        out.push(c);
+        if let Some(ix) = raw_index.as_deref_mut() {
+            ix.push(raw);
+        }
+    };
+    let mut takes = takes.iter().peekable();
+    // The take whose occurrence the current character belongs to.
+    let mut token: Option<(usize, Candidate)> = None;
+    for (i, c) in s.chars().enumerate() {
+        if let Some(&&(at, cand)) = takes.peek().filter(|&&&(at, _)| at == i) {
+            takes.next();
+            token = Some((at, cand));
+            if cand.kind == TokenKind::Call {
+                emit(call_marker(cand.pair as usize), i);
             }
         }
+        emit(c, token.map_or(i, |(at, _)| at));
+        if let Some((at, cand)) = token.filter(|&(at, cand)| i + 1 == at + cand.len as usize) {
+            if cand.kind == TokenKind::Return {
+                emit(return_marker(cand.pair as usize), at + cand.len as usize - 1);
+            }
+            token = None;
+        }
     }
-    (out, raw_index)
+    out
 }
 
 /// Attaches raw-input context to a word-level error where word characters are

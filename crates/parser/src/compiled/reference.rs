@@ -44,7 +44,7 @@ pub(super) fn exhausted(g: &CompiledGrammar, s: &str) -> bool {
 pub(super) fn converted_word(g: &CompiledGrammar, s: &str) -> Option<String> {
     let chars: Vec<char> = s.chars().collect();
     let takes = scan_tokens(g, &chars, true).takes?;
-    Some(build_converted(&chars, &takes).0)
+    Some(build_converted(s, &takes, None))
 }
 
 /// [`CompiledGrammar::parse`] over the reference scan (token mode).
@@ -59,7 +59,8 @@ pub(super) fn parse(g: &CompiledGrammar, s: &str) -> Result<ParseTree, ParseErro
         };
         return Err(err.with_raw_char_context(s, outcome.furthest));
     };
-    let (converted, raw_index) = build_converted(&chars, &takes);
+    let mut raw_index = Vec::new();
+    let converted = build_converted(s, &takes, Some(&mut raw_index));
     let tagged: Vec<TaggedChar> = g.vpg.tagging().tag(&converted);
     g.tables.parse_tagged(&tagged).map_err(|e| {
         let raw_char = e.position().and_then(|p| raw_index.get(p).copied()).unwrap_or(chars.len());
@@ -137,7 +138,9 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
             let cand = matches[pos];
             let skip_allowed = match cand {
                 None => true,
-                Some(c) => g.repeatable(state, &chars[pos..pos + c.len as usize]),
+                Some(c) => {
+                    g.auto.repeatable(state, chars[pos..pos + c.len as usize].iter().copied())
+                }
             };
             if skip_allowed {
                 let code = auto.classify(chars[pos]);
@@ -188,7 +191,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
                 TokenKind::Return => true,
             };
             if alive {
-                match g.run_plains(s2, &chars[pos..pos + cand.len as usize]) {
+                match auto.run_plains(s2, chars[pos..pos + cand.len as usize].iter().copied()) {
                     Some(q) => s2 = q,
                     None => alive = false,
                 }
@@ -264,7 +267,7 @@ mod tests {
     use vstar::tokenizer::{call_marker, return_marker, TokenKind, TokenMatcher};
     use vstar::{Mat, PartialTokenizer, TokenDiscovery, TokenPair, VStar, VStarConfig};
     use vstar_automata::Dfa;
-    use vstar_oracles::{table1_languages, Json, Language, Lisp};
+    use vstar_oracles::{table1_languages, Json, Language, Lisp, Xml};
     use vstar_vpl::{Tagging, VpgBuilder};
 
     use super::super::{Candidate, CompileLearned, CompiledGrammar};
@@ -298,6 +301,214 @@ mod tests {
             super::exhausted(g, s),
             "{name}: budget exhaustion on {s:?}"
         );
+    }
+
+    /// How often the serving scan of `s` handed its walk to the frontier:
+    /// the `serve.scan_handoffs` a recognition counts, which must equal the
+    /// scan's own tally.
+    fn handoffs(g: &CompiledGrammar, s: &str) -> u64 {
+        let guard = vstar_telemetry::install();
+        let _ = g.recognize(s);
+        let counted = guard.finish().facts.counter("serve.scan_handoffs");
+        assert_eq!(counted, u64::from(g.scan_tokens(s, false).handoffs), "{s:?}");
+        counted
+    }
+
+    /// `s` and its one-character mutants over `alphabet`, at every position.
+    fn with_mutants(s: &str, alphabet: &[char]) -> Vec<String> {
+        let chars: Vec<char> = s.chars().collect();
+        let mut out = vec![s.to_string()];
+        for at in 0..chars.len() {
+            for &c in alphabet {
+                let mut mutant = chars.clone();
+                mutant[at] = c;
+                out.push(mutant.into_iter().collect());
+            }
+        }
+        out
+    }
+
+    /// A token grammar over one literal pair and the plain characters
+    /// `plain`: `S → ⊳ B ⊲ S | p S | ε`, where a body reads the call
+    /// occurrence, then anything `S` reads, then the return occurrence.
+    /// With `loose`, `S` also reads the occurrences' characters as plain
+    /// text, so the k-Repetition skip and the take both survive at every
+    /// occurrence.
+    fn literal_pair_grammar(call: &str, ret: &str, plain: &[char], loose: bool) -> CompiledGrammar {
+        let (call_m, ret_m) = (call_marker(0), return_marker(0));
+        let mut b = VpgBuilder::new(Tagging::from_pairs([(call_m, ret_m)]).unwrap());
+        let s = b.nonterminal("S");
+        let body = b.nonterminal("B");
+        b.empty_rule(s);
+        for &c in plain {
+            b.linear_rule(s, c, s);
+        }
+        if loose {
+            for c in call.chars().chain(ret.chars()) {
+                b.linear_rule(s, c, s);
+            }
+        }
+        b.match_rule(s, call_m, body, ret_m, s);
+        // B reads the call occurrence, then S's language, then the return
+        // occurrence.
+        let mut at = body;
+        for (i, c) in call.chars().enumerate() {
+            let next = b.nonterminal(&format!("C{i}"));
+            b.linear_rule(at, c, next);
+            at = next;
+        }
+        let inner = at;
+        for &c in plain {
+            b.linear_rule(inner, c, inner);
+        }
+        if loose {
+            for c in call.chars().chain(ret.chars()) {
+                b.linear_rule(inner, c, inner);
+            }
+        }
+        b.match_rule(inner, call_m, body, ret_m, inner);
+        let mut at = inner;
+        for (i, c) in ret.chars().enumerate() {
+            let next = b.nonterminal(&format!("R{i}"));
+            b.linear_rule(at, c, next);
+            at = next;
+        }
+        b.empty_rule(at);
+        let mut tokenizer = PartialTokenizer::new();
+        tokenizer.push_pair(TokenPair {
+            call: TokenMatcher::Literal(call.to_string()),
+            ret: TokenMatcher::Literal(ret.to_string()),
+        });
+        CompiledGrammar::assemble(b.build(s).unwrap(), tokenizer, TokenDiscovery::Tokens).unwrap()
+    }
+
+    /// Json inputs where the walk hands its configuration to the frontier:
+    /// an ambiguous `{` inside a string mid-input; two of them, so the walk
+    /// takes the lone survivor back in between and hands it over again; and
+    /// both of json's pairs around one, so the traces must carry each
+    /// take's pair. Each with its one-character mutants.
+    #[test]
+    fn serving_scan_matches_the_reference_across_handoffs() {
+        let g = compile(&Json::new());
+        let cases = [
+            ("[1,{\"a{b\":2},3]", 1),
+            ("[{\"a{\":1},{\"b{\":2}]", 2),
+            ("[{\"a{\":[1,{\"b\":[]}]}]", 1),
+        ];
+        for (s, at_least) in cases {
+            assert!(g.recognize(s), "{s:?}");
+            let counted = handoffs(g, s);
+            assert!(counted >= at_least, "{s:?}: {counted} handoffs");
+            for input in with_mutants(s, &['{', '}', '"', '[', ']', ',']) {
+                assert_scans_agree(g, "json", &input);
+            }
+        }
+        let converted = g.converted_word("[{\"a{\":[1,{\"b\":[]}]}]").unwrap();
+        for pair in 0..2 {
+            assert!(converted.contains(call_marker(pair)), "{converted:?}");
+            assert!(converted.contains(return_marker(pair)), "{converted:?}");
+        }
+    }
+
+    /// Plain text with a non-ASCII character after an ASCII prefix, inside
+    /// and outside open tokens: the walk over the bytes hands over at the
+    /// `λ` with its stack, at a character index, and the walk resumes over
+    /// the characters. Under 300 open tokens the hand-over interns a deep
+    /// walked stack. Error positions after the `λ` count characters.
+    #[test]
+    fn serving_scan_matches_the_reference_after_non_ascii_text() {
+        let g = literal_pair_grammar("(", ")", &['a', 'λ'], false);
+        for s in ["λ", "aλa", "((aλ)λ(a))λa", "((((λ))))", "(a)(λ)"] {
+            assert!(g.recognize(s), "{s:?}");
+            assert!(handoffs(&g, s) >= 1, "{s:?}");
+            for input in with_mutants(s, &['(', ')', 'a', 'λ', '?']) {
+                assert_scans_agree(&g, "non-ascii", &input);
+            }
+        }
+        let deep = format!("{}aλa{}", "(".repeat(300), ")".repeat(300));
+        assert!(g.recognize(&deep));
+        assert_eq!(handoffs(&g, &deep), 1);
+        for s in [&deep[..], &deep[..deep.len() - 1], &deep[1..]] {
+            assert_scans_agree(&g, "non-ascii", s);
+        }
+        let e = g.parse("aλ?").unwrap_err();
+        assert_eq!(e.position(), Some(2), "{e:?}");
+        assert_eq!(e.raw_span(), Some((3, 4)), "{e:?}");
+    }
+
+    /// Multi-character literals `<<` and `>>`: where the grammar's plain
+    /// rules also read them, every `<<` forks and the frontier gets
+    /// two-character takes from the walk; where they do not, the walk
+    /// matches each occurrence at its table stop and takes it in place.
+    #[test]
+    fn serving_scan_matches_the_reference_on_multi_character_literals() {
+        let alphabet = ['<', '>', 'x'];
+        let loose = literal_pair_grammar("<<", ">>", &['x'], true);
+        let strict = literal_pair_grammar("<<", ">>", &['x'], false);
+        for w in vstar_vpl::words::all_strings(&alphabet, 6) {
+            assert_scans_agree(&loose, "loose", &w);
+            assert_scans_agree(&strict, "strict", &w);
+        }
+        for s in ["<<x>>", "x<<<<x>>>>x", "<<>><<>>"] {
+            assert!(loose.recognize(s) && strict.recognize(s), "{s:?}");
+            assert!(handoffs(&loose, s) >= 1, "{s:?}");
+            assert_eq!(handoffs(&strict, s), 0, "{s:?}");
+            assert_scans_agree(&loose, "loose", s);
+            assert_scans_agree(&strict, "strict", s);
+        }
+    }
+
+    /// Xml's return token `/[a-z]+>` is longer than one character: the walk
+    /// matches it where its table stops and takes it in place, so xml
+    /// members never reach the frontier. A `λ` inside makes the frontier
+    /// and the walk over the characters take the same tokens.
+    #[test]
+    fn serving_scan_matches_the_reference_on_multi_character_returns() {
+        let g = compile(&Xml::new());
+        for s in ["<a>x</a>", "<a><b>y</b></a>", "<ab>hi<q>z</q>go</ab>", "<p>hi<q>z</q></p>"] {
+            assert!(g.recognize(s), "{s:?}");
+            assert_eq!(handoffs(g, s), 0, "{s:?}");
+            for input in with_mutants(s, &['<', '>', '/', 'a']) {
+                assert_scans_agree(g, "xml", &input);
+            }
+            let mid = s.find('>').unwrap() + 1;
+            let with_lambda = format!("{}λ{}", &s[..mid], &s[mid..]);
+            assert!(handoffs(g, &with_lambda) >= 1, "{with_lambda:?}");
+            assert_scans_agree(g, "xml", &with_lambda);
+        }
+    }
+
+    /// The walk table's size: one column per ASCII character the grammar or
+    /// a matcher reads, plus one shared dead column, for every state — so
+    /// at most 129 columns, and for the Table-1 grammars one more column
+    /// than the plain table has — and at most one fork per state and
+    /// one-character token.
+    #[test]
+    fn walk_table_stays_within_its_bound() {
+        for lang in table1_languages() {
+            let g = compile(lang.as_ref());
+            let scan = &g.scan;
+            let read: usize = (0..128u8)
+                .map(char::from)
+                .filter(|&c| {
+                    g.auto.classify(c) != super::super::SYM_UNKNOWN
+                        || scan.matcher.class[c as usize] != 0
+                })
+                .count();
+            assert_eq!(scan.columns, read + 1, "{}", lang.name());
+            assert!(scan.columns <= 129);
+            let states = g.table_view().state_count();
+            assert_eq!(scan.cells.len(), states * scan.columns, "{}", lang.name());
+            let token_columns = scan.single.iter().filter(|c| c.is_some()).count();
+            assert!(scan.forks.len() <= states * token_columns, "{}", lang.name());
+            let plain_cells = g.stats().plain_table_cells as usize;
+            assert!(
+                scan.cells.len() <= plain_cells + states,
+                "{}: {} walk cells against {plain_cells} plain cells",
+                lang.name(),
+                scan.cells.len()
+            );
+        }
     }
 
     /// Every corpus input of the artifact round-trip tests, three more
@@ -475,7 +686,7 @@ mod tests {
 
         let cand = |s: &str| {
             let chars: Vec<char> = s.chars().collect();
-            g.first_match_at(&chars, 0).map(|c| (c.pair, c.kind, c.len))
+            g.first_match(&chars[..], 0).flatten().map(|c| (c.pair, c.kind, c.len))
         };
         assert_eq!(cand("ab"), Some((0, TokenKind::Return, 2)));
         assert_eq!(cand("xyz"), Some((1, TokenKind::Return, 2)));
@@ -491,7 +702,10 @@ mod tests {
             let chars: Vec<char> = w.chars().collect();
             for pos in 0..chars.len() {
                 assert!(
-                    same(g.first_match_at(&chars, pos), super::first_match_at(&g, &chars, pos)),
+                    same(
+                        g.first_match(&chars[..], pos).flatten(),
+                        super::first_match_at(&g, &chars, pos)
+                    ),
                     "candidate at {pos} of {w:?}"
                 );
             }
