@@ -5,7 +5,8 @@
 //! `recognize` series across input sizes also sanity-checks the linear-time
 //! claim (time should scale with length, not blow up). The
 //! `recognize_raw_short` series times the raw token scan on short inputs of
-//! the five plain Table-1 grammars.
+//! the five plain Table-1 grammars, and `recognize_raw_forking` the inputs
+//! among them whose scan forks.
 
 use std::hint::black_box;
 
@@ -85,16 +86,35 @@ fn bench_parser_throughput(c: &mut Criterion) {
     // Raw token-mode recognition of short inputs, the serving path of
     // `recognize`: generated members of each plain Table-1 grammar and a
     // one-character mutant of each (the parameter names the grammar and the
-    // corpus's bytes).
+    // corpus's bytes). The `recognize_raw_forking` series runs the inputs of
+    // the same corpus whose scan forks (two tokenization readings survive,
+    // counted by `serve.scan_handoffs`), the lock-step set's layer; a
+    // grammar without such inputs gets no row.
     for lang in table1_languages() {
         let compiled = learn_plain(lang.as_ref()).compile().expect("the bundled grammars compile");
         let inputs = raw_corpus(lang.as_ref(), 1, 40, 200);
-        let bytes: usize = inputs.iter().map(String::len).sum();
-        group.bench_with_input(
-            BenchmarkId::new("recognize_raw_short", format!("{}_{bytes}B", lang.name())),
-            &inputs,
-            |b, inputs| b.iter(|| inputs.iter().filter(|s| compiled.recognize(s)).count()),
-        );
+        let forking: Vec<String> = inputs
+            .iter()
+            .filter(|s| {
+                let guard = vstar_telemetry::install();
+                let _ = compiled.recognize(s);
+                guard.finish().facts.counter("serve.scan_handoffs") > 0
+            })
+            .cloned()
+            .collect();
+        for (series, inputs) in
+            [("recognize_raw_short", inputs), ("recognize_raw_forking", forking)]
+        {
+            if inputs.is_empty() {
+                continue;
+            }
+            let bytes: usize = inputs.iter().map(String::len).sum();
+            group.bench_with_input(
+                BenchmarkId::new(series, format!("{}_{bytes}B", lang.name())),
+                &inputs,
+                |b, inputs| b.iter(|| inputs.iter().filter(|s| compiled.recognize(s)).count()),
+            );
+        }
     }
 
     let sampler = GrammarSampler::new(&fig1);

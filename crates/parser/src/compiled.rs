@@ -45,28 +45,50 @@
 //!   first `MAX_SCAN_CONFIGS` configurations in it, so an input that exhausts
 //!   the budget gets the same verdict on every run, and an ambiguous input
 //!   the same reading.
-//! * **A lone configuration walks one table.** When the artifact is
-//!   assembled, the automaton and the tokenizer are folded into one walk
-//!   table with a cell per `(state, ASCII character class)` (derived data,
-//!   not part of the file format): the next state of a plain step, a
-//!   one-character call or return token taken in place, a fork (both
-//!   readings of a one-character token survive, each precomputed), dead, or
-//!   a stop where the table cannot decide (a longer token may start). The
-//!   scan starts by walking the input's bytes through it before any scratch
-//!   set-up, charging one unit of the budget per step as queueing would. At
-//!   a stop it matches the candidate token with the product of the
-//!   tokenizer's matchers (one DFA, its size capped by [`MAX_PRODUCT_SIZE`])
-//!   and tries both readings; while only one survives, the walk steps it in
-//!   place, multi-character tokens included.
-//! * **The frontier starts only where two readings survive.** There, or at
-//!   the first non-ASCII character, the walk hands its configuration to the
-//!   frontier: its stack is interned into hash-consed nodes, its take traces
-//!   carry over, and the frontier resumes at that position without
-//!   re-scanning. Frontier configurations step through the same table. When
-//!   one configuration is left with nothing queued ahead, the walk takes it
-//!   back. Configurations are deduplicated by walking their position's short
-//!   bucket; only a position that crowds past a few configurations pays for
-//!   hashing.
+//! * **Three tiers, each used only where the one before cannot go on.**
+//!   1. *The walk: one configuration, one table.* When the artifact is
+//!      assembled, the automaton and the tokenizer are folded into one walk
+//!      table with a cell per `(state, ASCII character class)` (derived
+//!      data, not part of the file format): the next state of a plain step,
+//!      a one-character call or return token taken in place, a fork (both
+//!      readings of a one-character token survive, each precomputed), dead,
+//!      or a stop where the table cannot decide (a longer token may start).
+//!      The scan starts by walking the input's bytes through it before any
+//!      scratch set-up, charging one unit of the budget per step as
+//!      queueing would. At a stop it matches the candidate token with the
+//!      product of the tokenizer's matchers (one DFA, its size capped by
+//!      [`MAX_PRODUCT_SIZE`]) and tries both readings; while only one
+//!      survives, the walk steps it in place, multi-character tokens
+//!      included. It stops where two readings survive (a fork) or at the
+//!      first non-ASCII byte.
+//!   2. *The lock-step set: up to 8 configurations, still no set-up.* At a
+//!      fork of one-character readings the configurations step together,
+//!      one position at a time and in queue order, through the same table.
+//!      Each keeps its state, its trace and its stack as a prefix of the
+//!      walked stack plus up to 4 own symbols packed in a `u64`; they are
+//!      deduplicated on state and whole stack and charged to the budget
+//!      exactly as the frontier would queue them. A lone survivor goes back
+//!      to the walk, an empty set rejects, and at the end of the input the
+//!      first accepting configuration in queue order accepts. A round the
+//!      set cannot hold (a ninth configuration, a fifth own symbol, a token
+//!      longer than one character, a non-ASCII byte) is undone and the set
+//!      moves to the frontier.
+//!   3. *The frontier: hash-consed stacks, any number of configurations.*
+//!      What the set cannot hold, a fork of longer tokens, and the first
+//!      non-ASCII character go here, for good: the stacks are interned into
+//!      hash-consed nodes, the take traces carry over, and the frontier
+//!      resumes at that position without re-scanning. Its configurations
+//!      step through the same table; when one is left with nothing queued
+//!      ahead, the walk takes it back over the characters. Configurations
+//!      are deduplicated by walking their position's short bucket; only a
+//!      position that crowds past a few configurations pays for hashing. Its
+//!      one limit is the budget: readings that multiply with the nesting
+//!      depth exhaust it (plain json arrays nested 19 or more deep are
+//!      rejected that way).
+//!
+//!   Every tier queues the same configurations in the same order as the
+//!   frontier alone would, so verdicts, conversions, trees, error spans and
+//!   the budget's exhaustion do not depend on where a scan ran.
 //!
 //! `CompiledGrammar` is `Send + Sync + Clone + 'static`, serializes to a
 //! versioned on-disk format ([`CompiledGrammar::save`] /
@@ -1082,6 +1104,7 @@ struct Step {
 }
 
 /// The lone configuration the walk steps in place, with the scan's budget.
+#[derive(Copy, Clone)]
 struct Walk {
     pos: usize,
     state: u32,
@@ -1110,6 +1133,158 @@ impl Walk {
             handoffs: 0,
         }
     }
+}
+
+/// Most configurations the lock-step set holds (see [`LaneSet`]).
+const LOCKSTEP_WIDTH: usize = 8;
+/// Most stack symbols a lock-step configuration holds above its prefix of
+/// the walked stack, 16 bits each in a `u64`.
+const LOCKSTEP_DEPTH: u32 = 4;
+// A spilled set fits in one bucket that is deduplicated without hashing.
+const _: () = assert!(LOCKSTEP_WIDTH <= LOCAL_DEDUP as usize);
+
+/// A configuration of the lock-step set. Its stack is the first `prefix`
+/// symbols of the walked stack (the walk's stack where the set started)
+/// with `depth` own symbols above them. The representation is canonical:
+/// a symbol pushed on the bare prefix that equals the walked symbol above
+/// it extends the prefix instead, so two lanes hold the same stack exactly
+/// when `prefix`, `depth` and `own` are equal.
+#[derive(Copy, Clone, Debug, Default)]
+struct Lane {
+    state: u32,
+    trace: u32,
+    prefix: u32,
+    depth: u32,
+    /// The own symbols, the top in the lowest 16 bits.
+    own: u64,
+}
+
+impl Lane {
+    /// Whether `self` and `other` are one configuration: the same state and
+    /// stack, whatever their traces.
+    #[inline]
+    fn same(&self, other: &Lane) -> bool {
+        (self.state, self.prefix, self.depth, self.own)
+            == (other.state, other.prefix, other.depth, other.own)
+    }
+
+    /// The stack's top symbol, `None` on an empty stack.
+    #[inline]
+    fn top(&self, walked: &[u32]) -> Option<u32> {
+        if self.depth > 0 {
+            Some((self.own & 0xFFFF) as u32)
+        } else {
+            self.prefix.checked_sub(1).map(|i| walked[i as usize])
+        }
+    }
+
+    /// The lane after the one-character `step` (its trace unchanged), or
+    /// `None` when the set cannot hold the result: a longer step, or a push
+    /// onto full own symbols.
+    #[inline]
+    fn then(mut self, step: &Step, walked: &[u32]) -> Option<Lane> {
+        if step.len != 1 {
+            return None;
+        }
+        self.state = step.state;
+        match step.op {
+            StackOp::Keep => {}
+            StackOp::Push(sym) => {
+                if self.depth == 0 && walked.get(self.prefix as usize) == Some(&sym) {
+                    self.prefix += 1;
+                } else if self.depth == LOCKSTEP_DEPTH || sym > 0xFFFF {
+                    return None;
+                } else {
+                    self.own = self.own << 16 | u64::from(sym);
+                    self.depth += 1;
+                }
+            }
+            // A pop always has a top: a return without one is dead.
+            StackOp::Pop if self.depth > 0 => {
+                self.own >>= 16;
+                self.depth -= 1;
+            }
+            StackOp::Pop => self.prefix -= 1,
+        }
+        Some(self)
+    }
+
+    /// The own symbols, bottom first.
+    fn own_symbols(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.depth).rev().map(|i| (self.own >> (16 * i) & 0xFFFF) as u32)
+    }
+}
+
+/// The lock-step set: up to [`LOCKSTEP_WIDTH`] configurations at one
+/// position in queue order, with the scan's budget. It queues exactly what
+/// the frontier's bucket at that position would hold.
+#[derive(Copy, Clone, Debug)]
+struct LaneSet {
+    lanes: [Lane; LOCKSTEP_WIDTH],
+    len: usize,
+    budget: usize,
+    exhausted: bool,
+}
+
+impl LaneSet {
+    /// Queues `lane` as [`Frontier::push`] would: not when the set holds
+    /// its configuration already or the budget is spent. `None` when the
+    /// set is full.
+    #[inline]
+    fn push(&mut self, lane: Lane) -> Option<()> {
+        if self.lanes[..self.len].iter().any(|l| l.same(&lane)) {
+            return Some(());
+        }
+        if self.budget == 0 {
+            self.exhausted = true;
+            return Some(());
+        }
+        if self.len == LOCKSTEP_WIDTH {
+            return None;
+        }
+        self.budget -= 1;
+        self.lanes[self.len] = lane;
+        self.len += 1;
+        Some(())
+    }
+
+    /// Queues what `next` leads to from `lane` at `pos` as
+    /// [`CompiledGrammar::step_bucket`] would: a fork's skip first, then its
+    /// take. `None` when the set cannot hold a result.
+    #[inline(always)]
+    fn queue(
+        &mut self,
+        lane: Lane,
+        next: Next,
+        pos: usize,
+        walked: &[u32],
+        traces: &mut Vec<(u32, u32, Candidate)>,
+        want_trace: bool,
+    ) -> Option<()> {
+        let mut push_step = |set: &mut LaneSet, step: Step| {
+            let mut after = lane.then(&step, walked)?;
+            after.trace = record_take(traces, want_trace, lane.trace, pos, step.took);
+            set.push(after)
+        };
+        match next {
+            Next::Dead => Some(()),
+            Next::One(step) => push_step(self, step),
+            Next::Two(skip, take) => {
+                self.push(Lane { state: skip, ..lane })?;
+                push_step(self, take)
+            }
+        }
+    }
+}
+
+/// Where the lock-step set ended.
+enum Tier {
+    /// One configuration is left; the walk takes it back.
+    Lone,
+    /// The scan ended.
+    Done(ScanOutcome),
+    /// The set cannot hold its next round: the frontier takes it over.
+    Spill(LaneSet),
 }
 
 /// "No configuration" link in the frontier's bucket lists.
@@ -1223,16 +1398,8 @@ impl Frontier {
             return;
         }
         self.budget -= 1;
-        let ix = self.configs.len() as u32;
-        self.configs.push(Config { state, stack, trace, next: NIL });
-        let bucket = &mut self.buckets[pos];
-        if bucket.first == NIL {
-            bucket.first = ix;
-        } else {
-            self.configs[bucket.last as usize].next = ix;
-        }
-        bucket.last = ix;
-        bucket.len += 1;
+        self.place(pos, state, stack, trace);
+        let bucket = self.buckets[pos];
         if bucket.len == LOCAL_DEDUP + 1 {
             let mut at = bucket.first;
             while at != NIL {
@@ -1243,17 +1410,25 @@ impl Frontier {
         } else if bucket.len > LOCAL_DEDUP {
             self.visited.insert((pos, state, stack));
         }
-        self.last = self.last.max(pos);
     }
 
-    /// Queues the walk's configuration at `pos` without charging the budget
-    /// (the walk charged its step there): nothing is queued at or beyond
-    /// `pos`.
+    /// Queues a configuration at the back of `pos`'s bucket without
+    /// charging the budget or looking for it in the bucket (a configuration
+    /// handed over from the walk or the lock-step set was charged where it
+    /// was stepped).
+    #[inline]
     fn place(&mut self, pos: usize, state: u32, stack: u32, trace: u32) {
         let ix = self.configs.len() as u32;
         self.configs.push(Config { state, stack, trace, next: NIL });
-        self.buckets[pos] = Bucket { first: ix, last: ix, len: 1 };
-        self.last = pos;
+        let bucket = &mut self.buckets[pos];
+        if bucket.first == NIL {
+            bucket.first = ix;
+        } else {
+            self.configs[bucket.last as usize].next = ix;
+        }
+        bucket.last = ix;
+        bucket.len += 1;
+        self.last = self.last.max(pos);
     }
 }
 
@@ -1454,7 +1629,8 @@ struct ScanOutcome {
     /// Whether [`MAX_SCAN_CONFIGS`] refused a configuration the scan had not
     /// seen: without an accepting branch, the reject may then be a false one.
     exhausted: bool,
-    /// How often the walk handed its configuration to the frontier.
+    /// How often the walk left single-configuration mode (a fork, or the
+    /// first non-ASCII byte).
     handoffs: u32,
 }
 
@@ -1773,8 +1949,10 @@ impl CompiledGrammar {
     /// [`Walk::outcome`]). Where two readings survive, or `text` cannot
     /// decode a character, it stops with the configuration at `w.pos` (the
     /// symbols it pushed still in `stack` above `w.base`) and says why: the
-    /// frontier takes over there.
-    #[inline]
+    /// lock-step set or the frontier takes over there. Always inlined, also
+    /// where the lock-step set hands a survivor back: its tight loop
+    /// compiles best in place, in [`CompiledGrammar::scan_in`].
+    #[inline(always)]
     fn walk<T: Text + ?Sized>(
         &self,
         text: &T,
@@ -1910,11 +2088,14 @@ impl CompiledGrammar {
     /// [`CompiledGrammar::walk`], first over the input's bytes before any
     /// scratch set-up: the one-position-at-a-time scan would queue exactly
     /// the configurations it steps through, one per step, and no later push
-    /// can land behind it. Only where two readings survive, or at a
-    /// non-ASCII character before the set-up, does the walk hand its
-    /// configuration (its stack interned into hash-consed nodes, its traces
-    /// kept) to the frontier, which resumes at that position and gives it
-    /// back once one configuration is left. All working memory comes from
+    /// can land behind it. Where two one-character readings survive, the
+    /// lock-step set steps up to [`LOCKSTEP_WIDTH`] configurations together
+    /// the same way, still before any set-up, and gives a lone survivor
+    /// back to the walk. Only what the set cannot hold, a fork of longer
+    /// tokens, or a non-ASCII character before the set-up reaches the
+    /// frontier (the stacks interned into hash-consed nodes, the traces
+    /// kept), which resumes at that position and gives a configuration back
+    /// to the walk once it is alone. All working memory comes from
     /// the calling thread's [`ScanScratch`]; `want_trace` records the take
     /// decisions that [`CompiledGrammar::parse`] and
     /// [`CompiledGrammar::converted_word`] need.
@@ -1944,15 +2125,19 @@ impl CompiledGrammar {
         let bytes = s.as_bytes();
         match self.walk(bytes, &mut w, stack, &[], traces, want_trace) {
             Ok(accepted) => w.outcome(accepted, w.pos == bytes.len(), traces),
-            Err(handoff) => self.scan_frontier(scratch, s, &w, handoff, want_trace),
+            Err(handoff) => self.scan_forked(scratch, s, &w, handoff, want_trace),
         }
     }
 
     /// The rest of [`CompiledGrammar::scan_in`] after the walk over the
-    /// bytes handed `w` over: the frontier, which gives lone configurations
-    /// back to the walk.
+    /// bytes handed `w` over. Where two one-character readings survive, the
+    /// lock-step set steps them ([`CompiledGrammar::lock_step`]) and gives a
+    /// lone survivor back to the walk over the bytes. A round the set cannot
+    /// hold, a longer fork or a non-ASCII byte moves the scan to the
+    /// frontier for good ([`CompiledGrammar::scan_frontier`]).
+    #[cold]
     #[inline(never)]
-    fn scan_frontier(
+    fn scan_forked(
         &self,
         scratch: &mut ScanScratch,
         s: &str,
@@ -1960,14 +2145,154 @@ impl CompiledGrammar {
         handoff: Handoff,
         want_trace: bool,
     ) -> ScanOutcome {
-        // The walk stopped after an ASCII prefix, so its byte position is a
+        let bytes = s.as_bytes();
+        let (mut w, mut handoff, mut handoffs) = (*w, handoff, 1u32);
+        let spilled = loop {
+            let Handoff::Fork(skip, take) = handoff else {
+                break None;
+            };
+            let ScanScratch { stack, traces, .. } = scratch;
+            let at = Lane {
+                state: w.state,
+                trace: w.trace,
+                prefix: stack.len() as u32,
+                ..Lane::default()
+            };
+            let mut set = LaneSet {
+                lanes: [Lane::default(); LOCKSTEP_WIDTH],
+                len: 0,
+                budget: w.budget,
+                exhausted: w.exhausted,
+            };
+            let mark = traces.len();
+            if set.queue(at, Next::Two(skip, take), w.pos, stack, traces, want_trace).is_none() {
+                traces.truncate(mark);
+                break None;
+            }
+            w.pos += 1;
+            match self.lock_step(bytes, &mut w, set, stack, traces, want_trace) {
+                Tier::Lone => {}
+                Tier::Done(outcome) => return ScanOutcome { handoffs, ..outcome },
+                Tier::Spill(set) => break Some(set),
+            }
+            match self.walk(bytes, &mut w, stack, &[], traces, want_trace) {
+                Ok(accepted) => {
+                    return ScanOutcome {
+                        handoffs,
+                        ..w.outcome(accepted, w.pos == bytes.len(), traces)
+                    };
+                }
+                Err(next) => {
+                    // A non-ASCII byte only moves the walk to the characters.
+                    handoffs += u32::from(matches!(next, Handoff::Fork(..)));
+                    handoff = next;
+                }
+            }
+        };
+        if vstar_telemetry::enabled() {
+            vstar_telemetry::counter("serve.scan_frontier", 1);
+        }
+        // The scan stopped after an ASCII prefix, so its byte position is a
         // character index.
         scratch.set_up(s);
+        let pos = match spilled {
+            Some(set) => scratch.take_set(w.pos, &set),
+            None => scratch.hand_over(&w, handoff, want_trace),
+        };
+        self.scan_frontier(scratch, pos, w.pos, handoffs, want_trace)
+    }
+
+    /// Steps the lock-step set `set` at `w.pos` one position at a time
+    /// through the walk table, its configurations in queue order, each
+    /// queued as the frontier would queue it ([`LaneSet::queue`]). `walked`
+    /// holds the walked stack the lanes' prefixes refer to. When one
+    /// configuration is left it becomes `w`, its stack rebuilt in `walked`,
+    /// for the walk to take back; an empty set rejects, and at the end of
+    /// the input the first accepting configuration in queue order accepts.
+    /// A round the set cannot hold (more than [`LOCKSTEP_WIDTH`]
+    /// configurations, more than [`LOCKSTEP_DEPTH`] own symbols, a token
+    /// longer than one character, or a non-ASCII byte) is undone and the
+    /// set at `w.pos` returned.
+    fn lock_step(
+        &self,
+        text: &[u8],
+        w: &mut Walk,
+        set: LaneSet,
+        walked: &mut Vec<u32>,
+        traces: &mut Vec<(u32, u32, Candidate)>,
+        want_trace: bool,
+    ) -> Tier {
+        // The set and the next round's, trading places after every round.
+        let mut sets = [set; 2];
+        let mut cur = 0;
+        loop {
+            let [a, b] = &mut sets;
+            let (set, next) = if cur == 0 { (a, b) } else { (b, a) };
+            let lanes = &set.lanes[..set.len];
+            if let [lane] = lanes {
+                walked.truncate(lane.prefix as usize);
+                walked.extend(lane.own_symbols());
+                let (budget, exhausted) = (set.budget, set.exhausted);
+                *w =
+                    Walk { state: lane.state, base: 0, trace: lane.trace, budget, exhausted, ..*w };
+                return Tier::Lone;
+            }
+            let end = w.pos == text.len();
+            if lanes.is_empty() || end {
+                let accepting = lanes.iter().find(|l| {
+                    l.prefix == 0 && l.depth == 0 && self.auto.accepting[l.state as usize]
+                });
+                return Tier::Done(ScanOutcome {
+                    takes: accepting.map(|l| unwind_trace(traces, l.trace)),
+                    // An empty set died on the position before.
+                    furthest: w.pos - usize::from(lanes.is_empty()),
+                    reached_end: !lanes.is_empty(),
+                    exhausted: set.exhausted,
+                    handoffs: 0,
+                });
+            }
+            // One round into `next`: plain steps in place, every other step
+            // through `next`.
+            let (pos, mark) = (w.pos, traces.len());
+            (next.len, next.budget, next.exhausted) = (0, set.budget, set.exhausted);
+            let mut cand = None;
+            let held = text.char_at(pos).is_some_and(|c| {
+                set.lanes[..set.len].iter().all(|lane| {
+                    let cell = self.scan.cell(lane.state, c);
+                    if cell < CELL_CALL {
+                        return next.push(Lane { state: cell, ..*lane }).is_some();
+                    }
+                    let top = || lane.top(walked);
+                    self.next(text, pos, c, lane.state, top, &mut cand)
+                        .and_then(|step| next.queue(*lane, step, pos, walked, traces, want_trace))
+                        .is_some()
+                })
+            });
+            if !held {
+                traces.truncate(mark);
+                return Tier::Spill(*set);
+            }
+            cur ^= 1;
+            w.pos += 1;
+        }
+    }
+
+    /// The frontier from `pos` on, where the walk or the lock-step set
+    /// handed over ([`ScanScratch::hand_over`], [`ScanScratch::take_set`]);
+    /// it gives lone configurations back to the walk over the characters.
+    /// `furthest` is the position the scan reached before, and `handoffs`
+    /// its handoffs so far.
+    #[inline(never)]
+    fn scan_frontier(
+        &self,
+        scratch: &mut ScanScratch,
+        mut pos: usize,
+        mut furthest: usize,
+        mut handoffs: u32,
+        want_trace: bool,
+    ) -> ScanOutcome {
         let n = scratch.chars.len();
-        let mut handoffs = 1u32;
-        let mut furthest = w.pos;
         let mut reached_end = false;
-        let mut pos = scratch.hand_over(w, handoff, want_trace);
         while pos <= scratch.frontier.last {
             let bucket = scratch.frontier.buckets[pos];
             if bucket.first == NIL {
@@ -2096,7 +2421,7 @@ fn settle_scan(outcome: &ScanOutcome, s: &str) {
     }
 }
 
-/// Why the walk handed its configuration to the frontier.
+/// Why the walk stopped with its configuration.
 enum Handoff {
     /// The text cannot decode a character the walk needs (a non-ASCII
     /// byte): the walk resumes there over the characters.
@@ -2179,11 +2504,7 @@ impl ScanScratch {
     /// configuration is queued there; at a fork both readings are queued.
     /// Returns the position the frontier continues at.
     fn hand_over(&mut self, w: &Walk, handoff: Handoff, want_trace: bool) -> usize {
-        let mut node = w.base;
-        for i in 0..self.stack.len() {
-            node = self.intern(node, self.stack[i]);
-        }
-        self.stack.clear();
+        let node = self.intern_walked(w.base);
         self.frontier.budget = w.budget;
         self.frontier.exhausted = w.exhausted;
         match handoff {
@@ -2196,6 +2517,32 @@ impl ScanScratch {
                 w.pos + 1
             }
         }
+    }
+
+    /// Gives the lock-step set at `pos` to the frontier, its configurations
+    /// queued in its order and its budget carried over; the walked stack
+    /// its prefixes refer to is in `stack`. Returns `pos`.
+    fn take_set(&mut self, pos: usize, set: &LaneSet) -> usize {
+        // The nodes were empty, so the walked prefix of length `k` is node `k`.
+        self.intern_walked(0);
+        for lane in &set.lanes[..set.len] {
+            let node = lane.own_symbols().fold(lane.prefix, |node, sym| self.intern(node, sym));
+            self.frontier.place(pos, lane.state, node, lane.trace);
+        }
+        self.frontier.budget = set.budget;
+        self.frontier.exhausted = set.exhausted;
+        pos
+    }
+
+    /// Interns the walk's stack above `base` and empties it; returns its top
+    /// node.
+    fn intern_walked(&mut self, base: u32) -> u32 {
+        let mut node = base;
+        for i in 0..self.stack.len() {
+            node = self.intern(node, self.stack[i]);
+        }
+        self.stack.clear();
+        node
     }
 }
 

@@ -25,6 +25,8 @@ struct RefOutcome {
     furthest: usize,
     reached_end: bool,
     exhausted: bool,
+    /// The most configurations queued at one position.
+    widest: usize,
 }
 
 /// [`CompiledGrammar::recognize`] over the reference scan (token mode).
@@ -38,6 +40,13 @@ pub(super) fn recognize(g: &CompiledGrammar, s: &str) -> bool {
 pub(super) fn exhausted(g: &CompiledGrammar, s: &str) -> bool {
     let chars: Vec<char> = s.chars().collect();
     scan_tokens(g, &chars, false).exhausted
+}
+
+/// The most configurations the reference scan of `s` queued at one
+/// position.
+pub(super) fn widest(g: &CompiledGrammar, s: &str) -> usize {
+    let chars: Vec<char> = s.chars().collect();
+    scan_tokens(g, &chars, false).widest
 }
 
 /// [`CompiledGrammar::converted_word`] over the reference scan (token mode).
@@ -98,6 +107,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
     let mut exhausted = false;
     let mut furthest = 0usize;
     let mut reached_end = false;
+    let mut widest = 0usize;
 
     let enqueue = |frontier: &mut BTreeMap<usize, Vec<(u32, u32, u32)>>,
                    visited: &mut HashSet<(usize, u32, u32)>,
@@ -121,6 +131,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
 
     while let Some((pos, bucket)) = frontier.pop_first() {
         furthest = furthest.max(pos);
+        widest = widest.max(bucket.len());
         for (state, stack, trace) in bucket {
             if pos == chars.len() {
                 if stack == 0 && auto.accepting[state as usize] {
@@ -129,6 +140,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
                         furthest: pos,
                         reached_end: true,
                         exhausted,
+                        widest,
                     };
                 }
                 reached_end = true;
@@ -226,7 +238,7 @@ fn scan_tokens(g: &CompiledGrammar, chars: &[char], want_trace: bool) -> RefOutc
             }
         }
     }
-    RefOutcome { takes: None, furthest, reached_end, exhausted }
+    RefOutcome { takes: None, furthest, reached_end, exhausted, widest }
 }
 
 fn shortest_match_len(matcher: &TokenMatcher, rest: &[char]) -> Option<usize> {
@@ -303,15 +315,23 @@ mod tests {
         );
     }
 
-    /// How often the serving scan of `s` handed its walk to the frontier:
+    /// How often the serving scan of `s` left single-configuration mode:
     /// the `serve.scan_handoffs` a recognition counts, which must equal the
     /// scan's own tally.
     fn handoffs(g: &CompiledGrammar, s: &str) -> u64 {
+        counters(g, s).0
+    }
+
+    /// The `serve.scan_handoffs` and `serve.scan_frontier` counts of one
+    /// recognition of `s`: how often the walk left single-configuration
+    /// mode, and whether the scan reached the hash-consed frontier.
+    fn counters(g: &CompiledGrammar, s: &str) -> (u64, u64) {
         let guard = vstar_telemetry::install();
         let _ = g.recognize(s);
-        let counted = guard.finish().facts.counter("serve.scan_handoffs");
-        assert_eq!(counted, u64::from(g.scan_tokens(s, false).handoffs), "{s:?}");
-        counted
+        let facts = guard.finish().facts;
+        let handoffs = facts.counter("serve.scan_handoffs");
+        assert_eq!(handoffs, u64::from(g.scan_tokens(s, false).handoffs), "{s:?}");
+        (handoffs, facts.counter("serve.scan_frontier"))
     }
 
     /// `s` and its one-character mutants over `alphabet`, at every position.
@@ -564,7 +584,9 @@ mod tests {
         b.linear_rule(plain, '(', plain);
         b.linear_rule(plain, 'x', plain_close);
         b.linear_rule(plain_close, ')', plain_close);
+        b.linear_rule(plain_close, 'λ', plain_close);
         b.empty_rule(plain_close);
+        b.linear_rule(end, 'λ', end);
         b.empty_rule(end);
         let mut tokenizer = PartialTokenizer::new();
         tokenizer.push_pair(TokenPair {
@@ -735,6 +757,243 @@ mod tests {
                 let s: String = (0..len).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
                 assert_scans_agree(g, lang.name(), &s);
             }
+        }
+    }
+
+    /// A token grammar over the pair `(`/`)` whose forks resolve fast:
+    ///
+    /// * `S → x S | ( P | ⊳ B ⊲ S | ε`, `P → ( P | y S | ε`: outside a
+    ///   token, `(` is plain text that loops (`((`…), so every `(` there
+    ///   forks into its k-Repetition skip and its take, and a following `y`
+    ///   or `z` kills one of the two readings;
+    /// * `B → ( C`, `C → z C | ⊳ B ⊲ C | ) R`, `R → ε`: inside a token, `(`
+    ///   only opens a nested token, so the take reading nests one own stack
+    ///   symbol per `(` while the skip reading stays one configuration.
+    fn fork_grammar() -> CompiledGrammar {
+        let (call, ret) = (call_marker(0), return_marker(0));
+        let mut b = VpgBuilder::new(Tagging::from_pairs([(call, ret)]).unwrap());
+        let [s, p, body, inner, end] = ["S", "P", "B", "C", "R"].map(|n| b.nonterminal(n));
+        b.linear_rule(s, 'x', s);
+        b.linear_rule(s, '(', p);
+        b.match_rule(s, call, body, ret, s);
+        b.empty_rule(s);
+        b.linear_rule(p, '(', p);
+        b.linear_rule(p, 'y', s);
+        b.empty_rule(p);
+        b.linear_rule(body, '(', inner);
+        b.linear_rule(inner, 'z', inner);
+        b.match_rule(inner, call, body, ret, inner);
+        b.linear_rule(inner, ')', end);
+        b.empty_rule(end);
+        let mut tokenizer = PartialTokenizer::new();
+        tokenizer.push_pair(TokenPair {
+            call: TokenMatcher::Literal("(".to_string()),
+            ret: TokenMatcher::Literal(")".to_string()),
+        });
+        CompiledGrammar::assemble(b.build(s).unwrap(), tokenizer, TokenDiscovery::Tokens).unwrap()
+    }
+
+    /// Lisp `(`ᵈ `a` `)`ᵈ and json `[`ᵈ `1` `]`ᵈ for d = 1..20. From the
+    /// third bracket on, every bracket forks (its k-Repetition skip and its
+    /// take both survive), so the readings multiply with the depth. The
+    /// lock-step set holds the scan while no position queues more than
+    /// `LOCKSTEP_WIDTH` configurations (d ≤ 4, at most 5, the lanes popping
+    /// below the stack walked before the fork on the way out, and the
+    /// inputs one bracket short rejected at the end in the set) and spills
+    /// into the frontier exactly where one does (d ≥ 5, 9 and more). From
+    /// d = 19 on the readings exhaust the budget and the member is rejected,
+    /// a known limit of the hash-consed frontier.
+    #[test]
+    fn lock_step_set_spills_into_the_frontier_at_its_width() {
+        let width = super::super::LOCKSTEP_WIDTH;
+        for (lang, open, atom, close) in
+            [(&Lisp::new() as &dyn Language, "(", "a", ")"), (&Json::new(), "[", "1", "]")]
+        {
+            let g = compile(lang);
+            for d in 1..=20 {
+                let s = format!("{}{atom}{}", open.repeat(d), close.repeat(d));
+                assert_scans_agree(g, lang.name(), &s);
+                let (handoffs, frontier) = counters(g, &s);
+                assert_eq!(handoffs, u64::from(d >= 3), "{s:?}");
+                let widest = super::widest(g, &s);
+                assert_eq!(frontier, u64::from(widest > width), "{s:?}: {widest} at one position");
+                assert_eq!(frontier, u64::from(d >= 5), "{s:?}");
+                assert_eq!(g.recognize(&s), d <= 18, "{s:?}");
+                assert_eq!(g.scan_tokens(&s, false).exhausted, d >= 19, "{s:?}");
+                if d <= 6 {
+                    // One bracket short: the readings reach the end of the
+                    // input in the set (d = 3, 4) or the frontier, open.
+                    let open_end = &s[..s.len() - 1];
+                    assert_scans_agree(g, lang.name(), open_end);
+                    assert!(g.parse(open_end).is_err(), "{open_end:?}");
+                    assert_eq!(counters(g, open_end), (u64::from(d >= 3), u64::from(d >= 5)));
+                }
+            }
+        }
+    }
+
+    /// `(`ᵐ `z` `)`ᵐ in [`fork_grammar`]: the first `(` forks, and the take
+    /// reading nests `m` own stack symbols next to the skip reading until
+    /// `z` kills the skip. The set holds up to `LOCKSTEP_DEPTH` = 4 of them
+    /// (m ≤ 4, and the walk takes the survivor back with its stack rebuilt);
+    /// the fifth spills the two configurations into the frontier.
+    #[test]
+    fn lock_step_set_spills_into_the_frontier_at_its_depth() {
+        let g = fork_grammar();
+        let depth = super::super::LOCKSTEP_DEPTH as usize;
+        for m in 1..=7 {
+            let s = format!("{}z{}", "(".repeat(m), ")".repeat(m));
+            assert!(g.recognize(&s), "{s:?}");
+            assert_eq!(counters(&g, &s), (1, u64::from(m > depth)), "{s:?}");
+            for input in with_mutants(&s, &['(', ')', 'x', 'y', 'z']) {
+                assert_scans_agree(&g, "fork", &input);
+            }
+        }
+    }
+
+    /// Forks in [`fork_grammar`] where the set ends the scan or gives the
+    /// survivor back: a fork at the last character, accepted by its skip
+    /// (`x(`, `x((`) in queue order before the take is looked at;
+    /// a fork right after the walk took a lone survivor back (each `(y`:
+    /// the `y` kills the take, and the next `(` forks again at once), also
+    /// after a take the walk closed (`(z)`). None of them reaches the
+    /// frontier. (Lanes that pop below the stack walked before their fork
+    /// are in `lock_step_set_spills_into_the_frontier_at_its_width`.)
+    #[test]
+    fn lock_step_set_ends_scans_and_hands_back_to_the_walk() {
+        let g = fork_grammar();
+        let cases = [
+            ("x(", 1, true),
+            ("x((", 1, true),
+            ("(y(y(y", 3, true),
+            ("(y(y(z)x", 3, true),
+            ("(z)(z)", 2, true),
+        ];
+        for (s, handoffs, member) in cases {
+            assert_eq!(g.recognize(s), member, "{s:?}");
+            assert_eq!(counters(&g, s), (handoffs, 0), "{s:?}");
+            for input in with_mutants(s, &['(', ')', 'x', 'y', 'z']) {
+                assert_scans_agree(&g, "fork", &input);
+            }
+        }
+        assert_eq!(g.converted_word("x(").as_deref(), Some("x("));
+        // Every word over the alphabet up to length 6, against the reference.
+        for w in vstar_vpl::words::all_strings(&['(', ')', 'x', 'y', 'z'], 6) {
+            assert_scans_agree(&g, "fork", &w);
+        }
+    }
+
+    /// Traced scans (`parse`, `converted_word`) that stay in the lock-step
+    /// set while takes of both json pairs are recorded: a `{` inside a
+    /// string forks, and its take reading opens objects and arrays beside
+    /// the skip reading until one of them dies.
+    #[test]
+    fn lock_step_set_records_the_takes_of_both_json_pairs() {
+        let g = compile(&Json::new());
+        for s in ["[{\"a{\":[1,{\"b\":[]}]}]", "{\"{\":[{\"c\":1}]}", "[[{\"a{\":{}}]]"] {
+            assert!(g.recognize(s), "{s:?}");
+            let (handoffs, frontier) = counters(g, s);
+            assert!(
+                handoffs >= 1 && frontier == 0,
+                "{s:?}: {handoffs} handoffs, frontier {frontier}"
+            );
+            let converted = g.converted_word(s).unwrap();
+            for pair in 0..2 {
+                assert!(converted.contains(call_marker(pair)), "{converted:?}");
+                assert!(converted.contains(return_marker(pair)), "{converted:?}");
+            }
+            for input in with_mutants(s, &['{', '}', '"', '[', ']', ',']) {
+                assert_scans_agree(g, "json", &input);
+            }
+        }
+    }
+
+    /// The set charges one unit of the budget per configuration it queues,
+    /// as the frontier would: `(y`ᵐ `x`ⁿ in [`fork_grammar`] spends three
+    /// units per `(y` in the set (the fork's two readings, then the skip's
+    /// step over `y`) and one per walked `x`, so the budget runs out at
+    /// the same `n` as in the reference scan.
+    #[test]
+    fn lock_step_set_charges_the_budget_like_the_frontier() {
+        let g = fork_grammar();
+        let m = 4;
+        let prefix = "(y".repeat(m);
+        assert_eq!(counters(&g, &prefix), (m as u64, 0));
+        // The start configuration, three per `(y` and one per `x`.
+        let boundary = super::super::MAX_SCAN_CONFIGS - 1 - 3 * m;
+        let mut exhausted = 0;
+        for n in boundary - 2..=boundary + 2 {
+            let s = format!("{prefix}{}", "x".repeat(n));
+            assert_scans_agree(&g, "fork", &s);
+            exhausted += usize::from(g.scan_tokens(&s, false).exhausted);
+        }
+        assert_eq!(exhausted, 2, "the budget runs out after {boundary} letters");
+    }
+
+    /// The canonical stack of a lock-step configuration: a push that
+    /// repeats the walked symbol above the prefix extends the prefix, a pop
+    /// on the bare prefix shortens it (below the walked stack's top), and a
+    /// fifth own symbol does not fit.
+    #[test]
+    fn lock_step_lanes_keep_one_form_per_stack() {
+        use super::super::{Lane, StackOp, Step};
+        let walked = [7, 8, 9];
+        let step = |op| Step { state: 1, len: 1, op, took: None };
+        let lane = Lane { state: 1, prefix: 2, ..Lane::default() };
+        let popped = lane.then(&step(StackOp::Pop), &walked).unwrap();
+        assert_eq!((popped.prefix, popped.depth, popped.top(&walked)), (1, 0, Some(7)));
+        let bare = popped.then(&step(StackOp::Pop), &walked).unwrap();
+        assert_eq!((bare.prefix, bare.top(&walked)), (0, None));
+        let again = popped.then(&step(StackOp::Push(8)), &walked).unwrap();
+        assert!(again.same(&lane), "{again:?}");
+        let mut own = popped.then(&step(StackOp::Push(5)), &walked).unwrap();
+        assert_eq!((own.prefix, own.depth, own.top(&walked)), (1, 1, Some(5)));
+        for sym in 1..4 {
+            own = own.then(&step(StackOp::Push(sym)), &walked).unwrap();
+        }
+        assert_eq!(own.own_symbols().collect::<Vec<_>>(), [5, 1, 2, 3]);
+        assert!(own.then(&step(StackOp::Push(4)), &walked).is_none());
+        assert!(lane.then(&Step { len: 2, ..step(StackOp::Keep) }, &walked).is_none());
+    }
+
+    /// Two accepting readings that the lock-step set carries to the end:
+    /// in `S → ⊳ ( C ⊲ E | ( P`, `C → ) E`, `P → ( P | ) Q`,
+    /// `Q → ) Q | λ Q | ε`, `E → λ E | ε`, the brackets of `()` are a token
+    /// pair or plain text that loops, so `(` forks and both readings
+    /// survive `)`. The scan keeps the configuration queued first: the skip
+    /// reading, `()` as plain text. Stepping the set in any other order
+    /// takes the pair, and so does spilling it into the frontier (at the
+    /// non-ASCII `λ`) in any other order.
+    #[test]
+    fn lock_step_set_accepts_in_queue_order() {
+        let (call, ret) = (call_marker(0), return_marker(0));
+        let mut b = VpgBuilder::new(Tagging::from_pairs([(call, ret)]).unwrap());
+        let [s, body, close, end, plain, plain_close] =
+            ["S", "B", "C", "E", "P", "Q"].map(|n| b.nonterminal(n));
+        b.match_rule(s, call, body, ret, end);
+        b.linear_rule(body, '(', close);
+        b.linear_rule(close, ')', end);
+        b.empty_rule(end);
+        b.linear_rule(s, '(', plain);
+        b.linear_rule(plain, '(', plain);
+        b.linear_rule(plain, ')', plain_close);
+        b.linear_rule(plain_close, ')', plain_close);
+        b.linear_rule(plain_close, 'λ', plain_close);
+        b.empty_rule(plain_close);
+        b.linear_rule(end, 'λ', end);
+        let mut tokenizer = PartialTokenizer::new();
+        tokenizer.push_pair(TokenPair {
+            call: TokenMatcher::Literal("(".to_string()),
+            ret: TokenMatcher::Literal(")".to_string()),
+        });
+        let g = CompiledGrammar::assemble(b.build(s).unwrap(), tokenizer, TokenDiscovery::Tokens)
+            .unwrap();
+        assert_eq!(counters(&g, "()"), (1, 0));
+        assert_eq!(g.converted_word("()").as_deref(), Some("()"));
+        assert_eq!(counters(&g, "()λ"), (1, 1));
+        assert_eq!(g.converted_word("()λ").as_deref(), Some("()λ"));
+        for w in vstar_vpl::words::all_strings(&['(', ')', 'λ'], 6) {
+            assert_scans_agree(&g, "queue order", &w);
         }
     }
 }
